@@ -148,6 +148,17 @@ func (a *Arena) Discard() {
 	}
 }
 
+// Release ends the arena's use: it closes what the last trial left running,
+// as Begin does before a reset, and drops the world, unregistering it so
+// nothing package-global keeps the world reachable. A later Begin builds a
+// fresh world. Campaign.Finish releases every worker's arena.
+func (a *Arena) Release() {
+	if !a.multiLoop && a.net != nil {
+		a.net.Close()
+	}
+	a.Discard()
+}
+
 // noteMultiLoop marks the arena's current trial multi-loop; see the field.
 func (a *Arena) noteMultiLoop() { a.multiLoop = true }
 
@@ -216,7 +227,8 @@ func (a *Arena) acquireNoise(l *eventloop.Loop, latency time.Duration, seed int6
 
 // arenas maps a resident loop to its arena so loop-keyed helpers
 // (AddFSNoise) can find the arena's caches without threading it through
-// every signature. Entries live as long as the arena's world does.
+// every signature. Entries live as long as the arena's world does: Discard
+// and Release remove them.
 var (
 	arenaMu sync.Mutex
 	arenas  map[*eventloop.Loop]*Arena
@@ -245,4 +257,12 @@ func arenaOf(l *eventloop.Loop) *Arena {
 	a := arenas[l]
 	arenaMu.Unlock()
 	return a
+}
+
+// LiveArenas reports how many arena worlds the registry holds. Leak checks
+// assert that it returns to its baseline once a campaign has finished.
+func LiveArenas() int {
+	arenaMu.Lock()
+	defer arenaMu.Unlock()
+	return len(arenas)
 }

@@ -777,11 +777,20 @@ func (c *Campaign) Snapshot() Result {
 	return res
 }
 
-// Finish writes the final checkpoint, closes the journal, and returns the
-// cumulative result. The campaign must not be used afterwards.
+// Finish writes the final checkpoint, closes the journal, releases the
+// workers' trial arenas, and returns the cumulative result. The campaign
+// must not be used afterwards.
 func (c *Campaign) Finish() (*Result, error) {
 	res := c.Snapshot()
 	c.writeCheckpoint()
+	c.mu.Lock()
+	for _, w := range c.worlds {
+		if w.arena != nil {
+			w.arena.Release()
+		}
+	}
+	c.worlds = nil
+	c.mu.Unlock()
 	if c.journal != nil {
 		err := c.journal.Err()
 		cerr := c.journal.Close()

@@ -392,3 +392,21 @@ func TestCampaignParallelThroughput(t *testing.T) {
 		t.Errorf("workers=4 did not reach 2x throughput: sequential %v, parallel %v", seq, par)
 	}
 }
+
+// TestCampaignFinishReleasesArenas: the bugs package's arena registry must
+// not keep a finished campaign's worlds alive. Both a reset-in-place world
+// (SIO) and a cluster world (REP-elect, rebuilt every trial) are released,
+// for every worker.
+func TestCampaignFinishReleasesArenas(t *testing.T) {
+	for _, abbr := range []string{"SIO", "REP-elect"} {
+		before := bugs.LiveArenas()
+		_, err := Run(Config{App: bugs.ByAbbr(abbr), Trials: 6, Workers: 2, BaseSeed: 3,
+			VirtualTime: true, Coverage: true, MinimizeTrials: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if after := bugs.LiveArenas(); after != before {
+			t.Fatalf("%s: arena registry holds %d worlds after Run, %d before", abbr, after, before)
+		}
+	}
+}

@@ -32,17 +32,21 @@ import (
 //     the member it is most redundant with — keeping the corpus spread out.
 //
 // Admission is the campaign's hottest non-trial path: every trial pays one
-// nearest-neighbour scan, each member an O(n*m) dynamic program over
-// schedules thousands of elements long. Three things keep it cheap:
+// nearest-neighbour scan, one edit distance per member. Three things keep it
+// cheap:
 //
-//   - type strings are interned to dense int IDs once per schedule, so the
-//     DP's inner loop compares ints instead of hashing/comparing strings;
-//   - the two DP rows are per-Corpus scratch reused across members and
-//     candidates (safe: they are only touched under c.mu), so a scan does
-//     zero allocation;
+//   - type strings are interned to dense int32 IDs once per schedule, and
+//     the candidate becomes a bit-parallel sched.Pattern (Myers/Hyyrö): its
+//     per-kind match masks are built once per offer, and each member then
+//     streams through them 64 schedule positions per machine word;
+//   - the pattern's masks and column state are per-Corpus scratch reused
+//     across members and offers (safe: only touched under c.mu), so a scan
+//     does zero allocation;
 //   - a member whose length differs from the candidate's by more than the
 //     best distance found so far cannot be nearer — the length gap is a
-//     Levenshtein lower bound — and is skipped without running the DP.
+//     Levenshtein lower bound — and is skipped without running the kernel;
+//     the others run bounded by the best so far and stop as soon as the
+//     bound is out of reach.
 //
 // Corpus is safe for concurrent use by the campaign's trial workers.
 type Corpus struct {
@@ -76,11 +80,11 @@ type Corpus struct {
 	// intern maps each distinct callback-type string to a dense ID. The
 	// table only grows (a handful of kinds exist), never per-admission.
 	intern map[string]int32
-	// dpPrev/dpCur are the Levenshtein scratch rows, reused across every
-	// member comparison of every Admit call; guarded by mu.
-	dpPrev, dpCur []int
-	// candScratch holds the interned candidate between per-member DPs.
+	// candScratch holds the interned candidate; pattern is the candidate
+	// prepared for the edit-distance kernel. Both are reused across every
+	// Admit call; guarded by mu.
 	candScratch []int32
+	pattern     sched.Pattern
 }
 
 type corpusEntry struct {
@@ -128,7 +132,7 @@ const DefaultSeenWindow = 1 << 16
 // the member count (<= 0 means DefaultCorpusCapacity); truncate bounds the
 // stored length of each schedule (<= 0 means DefaultScheduleTruncate) —
 // both the digest and the distance are computed over the truncated prefix,
-// bounding the O(n*m) Levenshtein cost per admission.
+// bounding the Levenshtein cost per admission.
 func NewCorpus(threshold float64, capacity, truncate int) *Corpus {
 	if capacity <= 0 {
 		capacity = DefaultCorpusCapacity
@@ -189,20 +193,22 @@ func (c *Corpus) internTypes(types []string, dst []int32) []int32 {
 }
 
 // nearest returns the minimum normalized Levenshtein distance from cand to
-// any member and that member's index (1, -1 on an empty corpus), reusing the
-// corpus scratch rows. Caller holds c.mu.
+// any member and that member's index (1, -1 on an empty corpus). cand
+// becomes the corpus's scratch pattern, so its match masks are built once
+// and every member streams through them. Caller holds c.mu.
 //
 // The scan is distance-bounded: only a member strictly nearer than the best
-// found so far can change the answer, so each DP after the first runs with
-// limit ≈ best·n and abandons as soon as a whole row exceeds it. Against a
-// corpus whose nearest member is close (the steady state of a long campaign
-// offering mutated variants of its own members), the bound collapses after
-// the first hit and every remaining member costs O(limit·n) instead of
-// O(n·m) — this is what makes million-trial fleet campaigns affordable. The
-// returned (distance, index) pair is bit-identical to an unbounded scan:
-// members are visited in entry order and a skipped member provably could not
-// have improved (or tied) the running best.
+// found so far can change the answer, so each comparison after the first
+// runs with limit ≈ best·n, and the kernel stops as soon as the distance
+// it has so far, less the member symbols still to come, exceeds the limit.
+// Against a corpus whose nearest member is close (the steady state of a
+// long campaign offering mutated variants of its own members), the bound
+// collapses after the first hit. The returned (distance, index) pair is
+// bit-identical to an unbounded scan: members are visited in entry order,
+// the kernel is exact up to the limit, and a skipped member provably could
+// not have improved (or tied) the running best.
 func (c *Corpus) nearest(cand []int32) (float64, int) {
+	c.pattern.Reset(cand, len(c.intern))
 	best, idx := 1.0, -1
 	for i := range c.entries {
 		ids := c.entries[i].ids
@@ -216,7 +222,7 @@ func (c *Corpus) nearest(cand []int32) (float64, int) {
 		}
 		// |len(a)-len(b)| lower-bounds the edit distance: a longer-by-k
 		// schedule needs at least k insertions. If even that floor cannot
-		// strictly improve on best, the DP cannot either.
+		// strictly improve on best, the kernel cannot either.
 		diff := len(cand) - len(ids)
 		if diff < 0 {
 			diff = -diff
@@ -234,7 +240,7 @@ func (c *Corpus) nearest(cand []int32) (float64, int) {
 				limit = l
 			}
 		}
-		d := c.levenshteinIDs(cand, ids, limit)
+		d := c.pattern.Distance(ids, limit)
 		if d > limit {
 			continue
 		}
@@ -247,61 +253,6 @@ func (c *Corpus) nearest(cand []int32) (float64, int) {
 		return 1, -1
 	}
 	return best, idx
-}
-
-// levenshteinIDs is the classic two-row edit-distance DP over interned
-// schedules, running in the corpus's shared scratch rows, bounded by limit:
-// it returns the exact distance when it is <= limit and limit+1 otherwise.
-// The row minimum of the DP is non-decreasing in the row index (every cell
-// derives from a previous-row or left neighbour by a +0/+1 step), so once an
-// entire row exceeds limit the final distance must too and the scan stops —
-// a far member costs O(limit·m) rather than O(n·m). Caller holds c.mu.
-func (c *Corpus) levenshteinIDs(a, b []int32, limit int) int {
-	if len(a) < len(b) {
-		a, b = b, a
-	}
-	if len(a)-len(b) > limit {
-		return limit + 1
-	}
-	if len(b) == 0 {
-		return len(a)
-	}
-	if cap(c.dpPrev) < len(b)+1 {
-		c.dpPrev = make([]int, len(b)+1)
-		c.dpCur = make([]int, len(b)+1)
-	}
-	prev, cur := c.dpPrev[:len(b)+1], c.dpCur[:len(b)+1]
-	for j := range prev {
-		prev[j] = j
-	}
-	for i := 1; i <= len(a); i++ {
-		cur[0] = i
-		rowMin := i
-		ai := a[i-1]
-		for j := 1; j <= len(b); j++ {
-			best := prev[j-1]
-			if ai != b[j-1] {
-				best++
-			}
-			if v := prev[j] + 1; v < best {
-				best = v
-			}
-			if v := cur[j-1] + 1; v < best {
-				best = v
-			}
-			cur[j] = best
-			if best < rowMin {
-				rowMin = best
-			}
-		}
-		prev, cur = cur, prev
-		if rowMin > limit {
-			c.dpPrev, c.dpCur = cur, prev
-			return limit + 1
-		}
-	}
-	c.dpPrev, c.dpCur = cur, prev // keep the backing arrays adopted
-	return prev[len(b)]
 }
 
 // Admit offers a type schedule to the corpus and reports what happened. The

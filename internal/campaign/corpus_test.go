@@ -233,43 +233,107 @@ func TestCorpusSeedCoverage(t *testing.T) {
 	}
 }
 
-// TestCorpusNearestMatchesReference: the interned, scratch-row, length-
-// pruned nearest-neighbour scan must agree exactly with the straightforward
-// sched.NearestNLD over the same schedules — novelty feeds the bandit's
-// reward, so a drifting fast path would silently bias the campaign.
+// refNLD is the plain Levenshtein DP normalized by max(len), the reference
+// the corpus's bit-parallel kernel is checked against.
+func refNLD(a, b []string) float64 {
+	n := max(len(a), len(b))
+	if n == 0 {
+		return 0
+	}
+	prev := make([]int, len(b)+1)
+	cur := make([]int, len(b)+1)
+	for j := range prev {
+		prev[j] = j
+	}
+	for i := 1; i <= len(a); i++ {
+		cur[0] = i
+		for j := 1; j <= len(b); j++ {
+			cost := 1
+			if a[i-1] == b[j-1] {
+				cost = 0
+			}
+			cur[j] = min(prev[j]+1, cur[j-1]+1, prev[j-1]+cost)
+		}
+		prev, cur = cur, prev
+	}
+	return float64(prev[len(b)]) / float64(n)
+}
+
+// TestCorpusNearestMatchesReference: the interned, bit-parallel, length-
+// pruned, bounded nearest-neighbour scan must return exactly the (distance,
+// index) pair of a plain DP scan over the same members with the same
+// strict-< tie-break — novelty feeds the bandit's reward and the index picks
+// the evicted member, so a drifting fast path would silently bias the
+// campaign. Schedules are 150–256 callbacks (two to four kernel words, the
+// cluster-trial shape) at capacity 64, so the scan crosses word carries and
+// the corpus evicts.
 func TestCorpusNearestMatchesReference(t *testing.T) {
-	kinds := []string{"timer", "net-read", "work", "work-done", "close", "imm"}
-	mk := func(seed, n int) []string {
+	kinds := []string{"timer", "net-read", "work", "work-done", "close", "imm",
+		"net-write", "fs-read", "fs-write", "check", "deliver", "tick"}
+	x := uint64(12345)
+	next := func(n int) int {
+		x = x*6364136223846793005 + 1442695040888963407
+		return int((x >> 33) % uint64(n))
+	}
+	mk := func(n int) []string {
 		s := make([]string, n)
-		x := uint64(seed)*2654435761 + 12345
 		for i := range s {
-			x = x*6364136223846793005 + 1442695040888963407
-			s[i] = kinds[x%uint64(len(kinds))]
+			s[i] = kinds[next(len(kinds))]
 		}
 		return s
 	}
 
-	c := NewCorpus(0, 64, 0) // threshold 0: admit everything non-duplicate
-	var pool [][]string
-	for i := 0; i < 40; i++ {
-		cand := mk(i, 5+i%37)
-		wantD, _ := sched.NearestNLD(cand, pool)
+	const capacity = 64
+	c := NewCorpus(0, capacity, 0) // threshold 0: admit everything non-duplicate
+	offers, evictions := 110, 0
+	if testing.Short() {
+		offers = 80
+	}
+	for i := 0; i < offers; i++ {
+		members := c.Schedules()
+		var cand []string
+		if len(members) > 0 && i%2 == 1 {
+			// A mutated member, the steady state of a campaign: the bound
+			// collapses and later members run against a tight limit.
+			cand = append([]string(nil), members[next(len(members))]...)
+			for k := 1 + next(8); k > 0; k-- {
+				cand[next(len(cand))] = kinds[next(len(kinds))]
+			}
+			if d := next(9) - 4; d < 0 {
+				cand = cand[:len(cand)+d]
+			} else {
+				cand = append(cand, mk(d)...)
+			}
+		} else {
+			cand = mk(150 + next(107))
+		}
+		wantD, wantI := 1.0, -1
+		for j, m := range members {
+			if d := refNLD(cand, m); wantI == -1 || d < wantD {
+				wantD, wantI = d, j
+			}
+		}
 
 		c.mu.Lock()
 		c.candScratch = c.internTypes(cand, c.candScratch)
 		gotD, gotI := c.nearest(c.candScratch)
 		c.mu.Unlock()
 
-		if gotD != wantD {
-			t.Fatalf("offer %d: nearest distance %v, reference %v", i, gotD, wantD)
+		if gotD != wantD || gotI != wantI {
+			t.Fatalf("offer %d: nearest (%v, %d), reference (%v, %d)", i, gotD, gotI, wantD, wantI)
 		}
-		if len(pool) > 0 && (gotI < 0 || sched.NormalizedLevenshtein(cand, pool[gotI]) != wantD) {
-			t.Fatalf("offer %d: nearest index %d does not achieve reference distance %v", i, gotI, wantD)
+		adm := c.Admit(cand)
+		if adm.Duplicate {
+			continue
 		}
-
-		if adm := c.Admit(cand); !adm.Admitted {
+		if !adm.Admitted {
 			t.Fatalf("offer %d: not admitted at threshold 0 (novelty %v)", i, adm.Novelty)
 		}
-		pool = append(pool, cand)
+		if adm.Evicted {
+			evictions++
+		}
+	}
+	if evictions == 0 {
+		t.Fatal("no evictions: the test never exercised a full corpus")
 	}
 }

@@ -214,3 +214,23 @@ func TestFleetGreedyBeatsRoundRobin(t *testing.T) {
 			greedy, med(greedy), rr, med(rr))
 	}
 }
+
+// TestFleetRunReleasesArenas: every child campaign's arenas leave the bugs
+// package's registry when the fleet finishes.
+func TestFleetRunReleasesArenas(t *testing.T) {
+	before := bugs.LiveArenas()
+	_, err := Run(Config{
+		Specs:        specsFor(t, "SIO", "KUE", "REP-replay"),
+		GlobalTrials: 30,
+		SliceTrials:  5,
+		BaseSeed:     9,
+		VirtualTime:  true,
+		Coverage:     true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after := bugs.LiveArenas(); after != before {
+		t.Fatalf("arena registry holds %d worlds after fleet.Run, %d before", after, before)
+	}
+}

@@ -21,7 +21,8 @@ type DiffOp struct {
 // "these two runs differ by 0.3", the script shows exactly which callbacks
 // moved.
 func Diff(a, b []string) []DiffOp {
-	// Full DP table (the two-row trick cannot reconstruct the path).
+	// Full DP table: the alignment traceback needs every cell, which the
+	// bit-parallel distance kernel (Pattern) does not keep.
 	n, m := len(a), len(b)
 	dp := make([][]int, n+1)
 	for i := range dp {
@@ -37,7 +38,7 @@ func Diff(a, b []string) []DiffOp {
 			if a[i-1] == b[j-1] {
 				cost = 0
 			}
-			dp[i][j] = min3(dp[i-1][j]+1, dp[i][j-1]+1, dp[i-1][j-1]+cost)
+			dp[i][j] = min(dp[i-1][j]+1, dp[i][j-1]+1, dp[i-1][j-1]+cost)
 		}
 	}
 	// Backtrack.

@@ -11,7 +11,7 @@ import (
 // kinds are short printable identifiers and never contain NUL).
 //
 // Digests give the campaign corpus O(1) exact-duplicate detection before it
-// pays for the O(n*m) Levenshtein novelty computation.
+// pays for the Levenshtein novelty computation.
 func Digest(types []string) uint64 {
 	h := fnv.New64a()
 	for _, s := range types {

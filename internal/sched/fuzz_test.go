@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 )
@@ -8,9 +9,10 @@ import (
 // tokens converts fuzz bytes into a type schedule, mapping each byte onto a
 // small token alphabet so that matches are common (an all-distinct alphabet
 // makes every distance degenerate to max(len(a), len(b))). Schedules are
-// capped so the O(n*m) DP stays cheap per fuzz iteration.
+// capped so the reference DP stays cheap per fuzz iteration, but long
+// enough to span three kernel words.
 func tokens(s []byte) []string {
-	const maxLen = 64
+	const maxLen = 160
 	if len(s) > maxLen {
 		s = s[:maxLen]
 	}
@@ -21,13 +23,23 @@ func tokens(s []byte) []string {
 	return out
 }
 
-// FuzzLevenshtein checks the metric axioms of the Figure 7 distance:
-// identity, symmetry, the triangle inequality, the standard bounds, and
-// normalization into [0, 1].
+// tokenIDs maps tokens to the symbol IDs the reference DP compares.
+func tokenIDs(s []string) []int32 {
+	out := make([]int32, len(s))
+	for i, t := range s {
+		out[i] = int32(t[1] - '0')
+	}
+	return out
+}
+
+// FuzzLevenshtein checks the Figure 7 distance against the reference DP and
+// its metric axioms: identity, symmetry, the triangle inequality, the
+// standard bounds, and normalization into [0, 1].
 func FuzzLevenshtein(f *testing.F) {
 	f.Add([]byte("timer"), []byte("net-read"), []byte("work-done"))
 	f.Add([]byte{}, []byte{1, 2, 3}, []byte{1, 1, 1, 1})
 	f.Add([]byte{0, 7, 14}, []byte{0, 7}, []byte{7, 0})
+	f.Add(bytes.Repeat([]byte{1, 2, 3}, 40), bytes.Repeat([]byte{1, 3}, 50), bytes.Repeat([]byte{2}, 65))
 	f.Fuzz(func(t *testing.T, ab, bb, cb []byte) {
 		a, b, c := tokens(ab), tokens(bb), tokens(cb)
 
@@ -35,6 +47,9 @@ func FuzzLevenshtein(f *testing.F) {
 			t.Fatalf("identity violated: L(a,a) = %d", d)
 		}
 		dab := Levenshtein(a, b)
+		if ref := refDistance(tokenIDs(a), tokenIDs(b)); dab != ref {
+			t.Fatalf("kernel L(a,b)=%d, reference DP %d", dab, ref)
+		}
 		if dba := Levenshtein(b, a); dab != dba {
 			t.Fatalf("symmetry violated: L(a,b)=%d L(b,a)=%d", dab, dba)
 		}

@@ -10,6 +10,7 @@ package sched
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -133,45 +134,51 @@ type TypeCount struct {
 // Levenshtein returns the edit distance (insertions, deletions,
 // substitutions, unit cost each) between the two type schedules.
 //
-// It uses the classic two-row dynamic program: O(len(a)*len(b)) time,
-// O(min(len(a),len(b))) space.
+// It interns both schedules to dense symbol IDs and runs the bit-parallel
+// Pattern kernel with the shorter schedule as the pattern:
+// O(⌈min/64⌉·max) word steps. Scratch state is pooled, so steady-state calls
+// do not allocate.
 func Levenshtein(a, b []string) int {
 	if len(a) < len(b) {
 		a, b = b, a
 	}
-	// b is now the shorter schedule.
-	if len(b) == 0 {
-		return len(a)
-	}
-	prev := make([]int, len(b)+1)
-	cur := make([]int, len(b)+1)
-	for j := range prev {
-		prev[j] = j
-	}
-	for i := 1; i <= len(a); i++ {
-		cur[0] = i
-		ai := a[i-1]
-		for j := 1; j <= len(b); j++ {
-			cost := 1
-			if ai == b[j-1] {
-				cost = 0
-			}
-			cur[j] = min3(prev[j]+1, cur[j-1]+1, prev[j-1]+cost)
+	s := levPool.Get().(*levScratch)
+	defer levPool.Put(s)
+	// b, the shorter schedule, is the pattern; a symbol of a that b lacks
+	// maps to len(s.ids), the alphabet's all-zero mask row.
+	clear(s.ids)
+	s.pat = slices.Grow(s.pat[:0], len(b))
+	for _, t := range b {
+		id, ok := s.ids[t]
+		if !ok {
+			id = int32(len(s.ids))
+			s.ids[t] = id
 		}
-		prev, cur = cur, prev
+		s.pat = append(s.pat, id)
 	}
-	return prev[len(b)]
+	absent := int32(len(s.ids))
+	s.text = slices.Grow(s.text[:0], len(a))
+	for _, t := range a {
+		id, ok := s.ids[t]
+		if !ok {
+			id = absent
+		}
+		s.text = append(s.text, id)
+	}
+	s.kernel.Reset(s.pat, len(s.ids))
+	return s.kernel.Distance(s.text, len(a))
 }
 
-func min3(a, b, c int) int {
-	if b < a {
-		a = b
-	}
-	if c < a {
-		a = c
-	}
-	return a
+// levScratch is Levenshtein's reusable interning and kernel state.
+type levScratch struct {
+	ids       map[string]int32
+	pat, text []int32
+	kernel    Pattern
 }
+
+var levPool = sync.Pool{New: func() any {
+	return &levScratch{ids: make(map[string]int32)}
+}}
 
 // NormalizedLevenshtein returns Levenshtein(a, b) divided by the maximum
 // possible distance, max(len(a), len(b)), so 0 means identical schedules and
@@ -189,7 +196,8 @@ func NormalizedLevenshtein(a, b []string) float64 {
 
 // Truncate returns the first n elements of the schedule (or the schedule
 // itself if shorter). Figure 7 considers only the first 20K callbacks of
-// each schedule due to the cost of the Levenshtein DP.
+// each schedule, and the campaign corpus stores truncated schedules, to
+// bound the cost of each Levenshtein comparison.
 func Truncate(s []string, n int) []string {
 	if n >= 0 && len(s) > n {
 		return s[:n]
