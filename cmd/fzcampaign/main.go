@@ -53,7 +53,6 @@ func main() {
 		orc        = flag.Bool("oracle", false, "attach the happens-before oracle to each trial (violation counts journaled, reward signal)")
 		orcOut     = flag.String("oracle-out", "", "write oracle violation JSONL to FILE (implies -oracle)")
 		coverage   = flag.Bool("coverage", false, "interleaving-coverage feedback: coverage-based corpus admission and bandit reward (implies -oracle)")
-		noArena    = flag.Bool("no-arena", false, "disable per-worker trial arenas: rebuild the trial world from scratch every trial")
 		cpuProf    = flag.String("cpuprofile", "", "write a CPU profile of the campaign to FILE")
 		memProf    = flag.String("memprofile", "", "write a heap profile at campaign end to FILE")
 	)
@@ -127,7 +126,6 @@ func main() {
 		Oracle:           *orc,
 		OracleOut:        repW,
 		Coverage:         *coverage,
-		NoArena:          *noArena,
 	}
 	if !*quiet {
 		cfg.Progress = func(e campaign.TrialEntry) {

@@ -53,7 +53,6 @@ func main() {
 		orc       = flag.Bool("oracle", false, "attach the happens-before oracle to every trial")
 		orcOut    = flag.String("oracle-out", "", "write oracle violation JSONL to FILE (implies -oracle)")
 		coverage  = flag.Bool("coverage", false, "interleaving-coverage feedback in every campaign (implies -oracle)")
-		noArena   = flag.Bool("no-arena", false, "disable per-worker trial arenas in every campaign")
 		dir       = flag.String("dir", "", "checkpoint directory (fleet journal + one campaign journal per app)")
 		resume    = flag.Bool("resume", false, "resume the fleet from -dir instead of starting fresh")
 		metOut    = flag.String("metrics", "", "append per-trial JSONL metrics for every campaign to FILE")
@@ -163,7 +162,6 @@ func main() {
 		VirtualTime:      *vtime,
 		Oracle:           *orc,
 		Coverage:         *coverage,
-		NoArena:          *noArena,
 		Dir:              *dir,
 		Resume:           *resume,
 		Metrics:          metW,

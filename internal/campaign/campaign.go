@@ -54,14 +54,6 @@ type Config struct {
 	// still reports wall time.
 	VirtualTime bool
 
-	// NoArena disables per-worker trial arenas: every trial rebuilds its
-	// full world (loop, worker pool, network, clock, registry) the way
-	// single-shot runs do, instead of resetting a reusable one in place.
-	// Arenas only engage under virtual time, where they are required to be
-	// behavior-identical; this switch exists for the differential tests
-	// that prove it and as a debugging escape hatch.
-	NoArena bool
-
 	// NoveltyThreshold is the corpus admission threshold (0 means
 	// DefaultNoveltyThreshold; negative means literally 0, admit any
 	// non-duplicate).
@@ -478,10 +470,10 @@ func (c *Campaign) RunRange(from, to int) SliceReport {
 }
 
 // acquireWorlds returns the per-worker reusable trial worlds for a slice
-// using w workers, growing the campaign's pool on first need; nil when
-// arenas are disabled (wall-time trials, or Config.NoArena).
+// using w workers, growing the campaign's pool on first need; nil for
+// wall-time trials, which build a fresh world every trial.
 func (c *Campaign) acquireWorlds(w int) []*world {
-	if c.cfg.NoArena || !(c.cfg.VirtualTime || bugs.VirtualTimeEnabled()) {
+	if !(c.cfg.VirtualTime || bugs.VirtualTimeEnabled()) {
 		return nil
 	}
 	c.mu.Lock()
@@ -503,8 +495,8 @@ const (
 // runTrial executes one trial end to end: bandit select, scheduler build,
 // run, corpus admission, reward, journal, metrics, optional minimization.
 // w, when non-nil, is the calling worker's reusable world: the trial resets
-// and reuses its machinery instead of building fresh; nil (wall time,
-// NoArena) keeps the historical build-everything path.
+// and reuses its machinery instead of building fresh; nil (wall time)
+// keeps the historical build-everything path.
 func (c *Campaign) runTrial(i int, w *world) trialStatus {
 	cfg := c.cfg
 	if !c.deadline.IsZero() && time.Now().After(c.deadline) {

@@ -32,14 +32,6 @@ type Scheduler struct {
 	mu  sync.Mutex
 	rng *rand.Rand
 
-	// ShuffleReady scratch, guarded by mu. The returned run/deferred slices
-	// alias these buffers and are only valid until the next ShuffleReady
-	// call — the event loop consumes them within the poll phase that asked.
-	shufScratch []*eventloop.Event
-	remScratch  []*eventloop.Event
-	runScratch  []*eventloop.Event
-	defScratch  []*eventloop.Event
-
 	dec decisions // lock-free decision counters, read via Decisions
 }
 
@@ -88,12 +80,6 @@ func (s *Scheduler) Reseed(params Params, seed int64) {
 	s.mu.Lock()
 	s.params = params
 	s.rng.Seed(seed)
-	// Drop stale event pointers so a finished trial's events don't outlive
-	// it through the scratch backing arrays.
-	clear(s.shufScratch[:cap(s.shufScratch)])
-	clear(s.remScratch[:cap(s.remScratch)])
-	clear(s.runScratch[:cap(s.runScratch)])
-	clear(s.defScratch[:cap(s.defScratch)])
 	s.mu.Unlock()
 	s.dec.reset()
 }
@@ -159,55 +145,48 @@ func (s *Scheduler) FilterTimers(due int) (int, time.Duration) {
 // with a sliding window of width EpollDoF+1 (unlimited DoF degenerates to a
 // uniform shuffle), so no descriptor is pulled forward by more than the
 // shuffle distance; each event is then deferred to the next iteration with
-// probability EpollDeferralPct.
+// probability EpollDeferralPct. Both steps permute ready in place: run and
+// deferred are its two halves, and the scheduler keeps no event memory.
 func (s *Scheduler) ShuffleReady(ready []*eventloop.Event) (run, deferred []*eventloop.Event) {
 	n := len(ready)
 	if n == 0 {
 		return nil, nil
 	}
+	k := n // ready[:k] runs, ready[k:] is deferred
 	s.mu.Lock()
-	remaining := append(s.remScratch[:0], ready...)
-	s.remScratch = remaining
-	var shuffled []*eventloop.Event
-	if s.params.EpollDoF != 0 {
-		shuffled = s.shufScratch[:0]
-		for len(remaining) > 0 {
-			w := len(remaining)
-			if s.params.EpollDoF > 0 && s.params.EpollDoF+1 < w {
-				w = s.params.EpollDoF + 1
+	if dof := s.params.EpollDoF; dof != 0 {
+		// Pick one of the next w events and rotate it down to pos; the
+		// events it skipped keep their relative order.
+		for pos := range ready {
+			w := n - pos
+			if dof > 0 && dof+1 < w {
+				w = dof + 1
 			}
 			i := s.rng.Intn(w)
-			shuffled = append(shuffled, remaining[i])
-			remaining = append(remaining[:i], remaining[i+1:]...)
-		}
-		s.shufScratch = shuffled
-	} else {
-		shuffled = remaining
-	}
-	run = s.runScratch[:0]
-	deferredScratch := s.defScratch[:0]
-	pct := s.params.EpollDeferralPct
-	for _, ev := range shuffled {
-		deferThis := false
-		if pct > 0 && (pct >= 100 || s.rng.Intn(100) < pct) {
-			deferThis = true
-		}
-		if deferThis {
-			deferredScratch = append(deferredScratch, ev)
-		} else {
-			run = append(run, ev)
+			ev := ready[pos+i]
+			copy(ready[pos+1:pos+i+1], ready[pos:pos+i])
+			ready[pos] = ev
 		}
 	}
-	s.runScratch = run
-	s.defScratch = deferredScratch
-	if len(deferredScratch) > 0 {
-		deferred = deferredScratch
+	if pct := s.params.EpollDeferralPct; pct > 0 {
+		// Stable partition: one draw per event in shuffled order; a kept
+		// event rotates down past the deferred ones before it.
+		k = 0
+		for j := range ready {
+			if pct >= 100 || s.rng.Intn(100) < pct {
+				continue
+			}
+			ev := ready[j]
+			copy(ready[k+1:j+1], ready[k:j])
+			ready[k] = ev
+			k++
+		}
 	}
 	s.mu.Unlock()
 	s.dec.shuffleCalls.Add(1)
 	s.dec.eventsShuffled.Add(int64(n))
-	s.dec.eventsDeferred.Add(int64(len(deferred)))
-	return run, deferred
+	s.dec.eventsDeferred.Add(int64(n - k))
+	return ready[:k:k], ready[k:n:n]
 }
 
 // DeferClose implements eventloop.Scheduler.

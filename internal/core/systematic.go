@@ -95,8 +95,13 @@ func (s *SystematicScheduler) ShuffleReady(ready []*eventloop.Event) (run, defer
 		return ready, nil
 	}
 	if s.take() {
-		// Rotate: run the tail first, defer the previous head one round.
-		return ready[1:], ready[:1]
+		// Rotate the head to the tail and defer it one round; the rest run
+		// first, in arrival order.
+		n := len(ready)
+		head := ready[0]
+		copy(ready, ready[1:])
+		ready[n-1] = head
+		return ready[: n-1 : n-1], ready[n-1 : n : n]
 	}
 	return ready, nil
 }

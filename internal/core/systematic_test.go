@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -64,8 +65,9 @@ func TestSystematicPerturbsExactlyAtDelayPoints(t *testing.T) {
 	if len(r) != 3 || len(d) != 0 {
 		t.Fatal("point 2 perturbed")
 	}
-	// Point 3: perturb (rotate + defer head).
-	r, d = s.ShuffleReady(evs)
+	// Point 3: perturb (rotate + defer head). The call permutes its input
+	// in place, so it gets a copy and evs keeps the arrival order.
+	r, d = s.ShuffleReady(slices.Clone(evs))
 	if len(r) != 2 || len(d) != 1 || d[0] != evs[0] {
 		t.Fatalf("point 3: run=%d deferred=%d", len(r), len(d))
 	}

@@ -179,9 +179,10 @@ func DecodeTrace(r io.Reader) (*Trace, error) {
 type RecordingScheduler struct {
 	inner eventloop.Scheduler
 
-	mu     sync.Mutex
-	trace  Trace
-	intBuf []int // backing store for ShuffleDecision RunOrder/Deferred views
+	mu      sync.Mutex
+	trace   Trace
+	intBuf  []int              // backing store for ShuffleDecision RunOrder/Deferred views
+	arrival []*eventloop.Event // ShuffleReady's snapshot of the ready list before the inner call
 }
 
 var _ eventloop.Scheduler = (*RecordingScheduler)(nil)
@@ -250,35 +251,40 @@ func (r *RecordingScheduler) FilterTimers(due int) (int, time.Duration) {
 	return run, delay
 }
 
-// ShuffleReady implements eventloop.Scheduler. The ready lists are small
-// (a poll batch), so positions are recovered by linear scan instead of a
-// per-call map, and the index lists append into the shared flat buffer.
+// ShuffleReady implements eventloop.Scheduler. The inner scheduler
+// permutes ready in place, so the arrival order is snapshotted first. The
+// snapshot, the inner call and the record share one r.mu section, so loops
+// sharing the recorder record their decisions in the order the inner
+// scheduler made them. The ready lists are small (a poll batch), so
+// positions are recovered by linear scan instead of a per-call map, and the
+// index lists append into the shared flat buffer.
 func (r *RecordingScheduler) ShuffleReady(ready []*eventloop.Event) (run, deferred []*eventloop.Event) {
-	run, deferred = r.inner.ShuffleReady(ready)
 	r.mu.Lock()
+	r.arrival = append(r.arrival[:0], ready...)
+	run, deferred = r.inner.ShuffleReady(ready)
 	d := ShuffleDecision{N: len(ready)}
-	d.RunOrder = r.appendIndices(ready, run)
-	d.Deferred = r.appendIndices(ready, deferred)
+	d.RunOrder = r.appendIndices(run)
+	d.Deferred = r.appendIndices(deferred)
 	r.trace.Shuffle = append(r.trace.Shuffle, d)
+	clear(r.arrival) // hold no event past the call
 	r.mu.Unlock()
 	return run, deferred
 }
 
-// appendIndices appends the position (in ready) of every event in sel to
-// the flat int buffer and returns the appended span (nil when sel is
-// empty, matching what building with append from nil produced). Caller
-// holds r.mu. When the buffer grows, spans handed out earlier keep
-// pointing at the old backing array — still correct, just no longer
-// shared.
-func (r *RecordingScheduler) appendIndices(ready, sel []*eventloop.Event) []int {
+// appendIndices appends the arrival position of every event in sel to the
+// flat int buffer and returns the appended span (nil when sel is empty,
+// matching what building with append from nil produced). Caller holds
+// r.mu. When the buffer grows, spans handed out earlier keep pointing at
+// the old backing array — still correct, just no longer shared.
+func (r *RecordingScheduler) appendIndices(sel []*eventloop.Event) []int {
 	if len(sel) == 0 {
 		return nil
 	}
 	buf := r.intBuf
 	start := len(buf)
 	for _, e := range sel {
-		for i, re := range ready {
-			if re == e {
+		for i, a := range r.arrival {
+			if a == e {
 				buf = append(buf, i)
 				break
 			}
@@ -405,17 +411,18 @@ func (r *ReplayScheduler) ShuffleReady(ready []*eventloop.Event) ([]*eventloop.E
 	for r.si < len(r.trace.Shuffle) {
 		d := r.trace.Shuffle[r.si]
 		r.si++
-		if d.N == len(ready) {
+		if n, k := d.N, len(d.RunOrder); n == len(ready) && k+len(d.Deferred) == n {
 			r.mu.Unlock()
-			run := make([]*eventloop.Event, 0, len(d.RunOrder))
-			for _, i := range d.RunOrder {
-				run = append(run, ready[i])
+			// Write the recorded order back into ready: run first, then
+			// deferred.
+			arrival := append([]*eventloop.Event(nil), ready...)
+			for j, i := range d.RunOrder {
+				ready[j] = arrival[i]
 			}
-			deferred := make([]*eventloop.Event, 0, len(d.Deferred))
-			for _, i := range d.Deferred {
-				deferred = append(deferred, ready[i])
+			for j, i := range d.Deferred {
+				ready[k+j] = arrival[i]
 			}
-			return run, deferred
+			return ready[:k:k], ready[k:n:n]
 		}
 		r.misses++
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 	"time"
 
@@ -44,14 +45,17 @@ func TestRecordingCapturesDecisions(t *testing.T) {
 
 func TestReplayReproducesDecisions(t *testing.T) {
 	recorded := NewRecording(NewScheduler(StandardParams(), 42))
+	// ShuffleReady permutes its input in place: each call gets its own
+	// copy of the arrival order, so wantRun stays a view of the recorded
+	// decision.
 	evs := mkEvents(8)
-	wantRun, wantDeferred := recorded.ShuffleReady(evs)
+	wantRun, wantDeferred := recorded.ShuffleReady(slices.Clone(evs))
 	wantTimerRun, wantDelay := recorded.FilterTimers(5)
 	wantClose := recorded.DeferClose("x")
 	wantPick := recorded.PickTask(6)
 
 	rep := NewReplay(recorded.Trace(), NewScheduler(StandardParams(), 999))
-	gotRun, gotDeferred := rep.ShuffleReady(evs)
+	gotRun, gotDeferred := rep.ShuffleReady(slices.Clone(evs))
 	if len(gotRun) != len(wantRun) || len(gotDeferred) != len(wantDeferred) {
 		t.Fatal("replayed shuffle shape differs")
 	}

@@ -24,12 +24,13 @@ func FuzzLegality(f *testing.F) {
 			srcs[i] = &Source{name: "s" + string(rune('a'+i))}
 		}
 
-		// Arrival order: ready[i] arrived at position i. A zero source slot
-		// models sourceless events (plain posts), which are unconstrained.
+		// Arrival order: ready[i] arrived at position i, stamped as poll
+		// does. A zero source slot models sourceless events (plain posts),
+		// which are unconstrained.
 		ready := make([]*Event, len(assign))
 		arrival := make(map[*Event]int, len(assign))
 		for i, b := range assign {
-			ev := &Event{Kind: "fuzz"}
+			ev := &Event{Kind: "fuzz", arrival: i}
 			if int(b)%(srcCount+1) != srcCount {
 				ev.src = srcs[int(b)%(srcCount+1)]
 			}

@@ -16,7 +16,8 @@ import "sort"
 //     FIFO per source across iterations.
 //
 // Events without a source (plain posts, worker-pool completions) are
-// unconstrained.
+// unconstrained. Arrival order is Event.arrival, the batch position poll
+// stamps before the scheduler permutes the batch in place.
 func enforcePerSourceOrder(ready, run, deferred []*Event) ([]*Event, []*Event) {
 	// Fast path: detect a source with two ready events by pairwise scan —
 	// ready batches are small, and skipping the map builds keeps the common
@@ -39,25 +40,25 @@ outer:
 		// beyond what the scheduler already returned.
 		return run, deferred
 	}
-	pos := make(map[*Event]int, len(ready))
-	for i, e := range ready {
-		pos[e] = i
-	}
 
-	// Step 1: earliest deferred position per source.
+	// Step 1: earliest deferred position per source. Kept run events are
+	// compacted in place (the write index never passes the read index);
+	// the full slice expression makes the appends to deferred copy rather
+	// than write into run, which may share deferred's backing array.
+	deferred = deferred[:len(deferred):len(deferred)]
 	deferredMin := make(map[*Source]int)
 	for _, e := range deferred {
 		if e.src == nil {
 			continue
 		}
-		if m, ok := deferredMin[e.src]; !ok || pos[e] < m {
-			deferredMin[e.src] = pos[e]
+		if m, ok := deferredMin[e.src]; !ok || e.arrival < m {
+			deferredMin[e.src] = e.arrival
 		}
 	}
-	keep := make([]*Event, 0, len(run))
+	keep := run[:0]
 	for _, e := range run {
 		if e.src != nil {
-			if m, ok := deferredMin[e.src]; ok && pos[e] > m {
+			if m, ok := deferredMin[e.src]; ok && e.arrival > m {
 				deferred = append(deferred, e)
 				continue
 			}
@@ -80,13 +81,13 @@ outer:
 		for j, slot := range slots {
 			evs[j] = keep[slot]
 		}
-		sort.Slice(evs, func(a, b int) bool { return pos[evs[a]] < pos[evs[b]] })
+		sort.Slice(evs, func(a, b int) bool { return evs[a].arrival < evs[b].arrival })
 		for j, slot := range slots {
 			keep[slot] = evs[j]
 		}
 	}
 
 	// Step 3: FIFO among deferred events.
-	sort.SliceStable(deferred, func(a, b int) bool { return pos[deferred[a]] < pos[deferred[b]] })
+	sort.SliceStable(deferred, func(a, b int) bool { return deferred[a].arrival < deferred[b].arrival })
 	return keep, deferred
 }

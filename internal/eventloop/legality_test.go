@@ -7,7 +7,8 @@ import (
 )
 
 // mkReady builds a ready list where srcIdx[i] selects which source event i
-// belongs to (negative: no source).
+// belongs to (negative: no source), stamping each event's arrival position
+// as poll does.
 func mkReady(srcIdx []int) ([]*Event, []*Source) {
 	maxSrc := -1
 	for _, s := range srcIdx {
@@ -21,7 +22,7 @@ func mkReady(srcIdx []int) ([]*Event, []*Source) {
 	}
 	ready := make([]*Event, len(srcIdx))
 	for i, s := range srcIdx {
-		ev := &Event{Kind: "net-read"}
+		ev := &Event{Kind: "net-read", arrival: i}
 		if s >= 0 {
 			ev.src = srcs[s]
 		}

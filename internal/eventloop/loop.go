@@ -859,6 +859,9 @@ func (l *Loop) poll() {
 	if len(ready) == 0 {
 		return
 	}
+	for i, ev := range ready {
+		ev.arrival = i
+	}
 
 	run, deferred := l.sched.ShuffleReady(ready)
 	if len(run)+len(deferred) != len(ready) {

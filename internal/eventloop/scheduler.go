@@ -25,6 +25,10 @@ type Event struct {
 	// network message, the submitter of a pool task); zero when the oracle
 	// is off or the producer is external.
 	oref oracle.Ref
+	// arrival is the event's position in its poll batch, stamped by poll
+	// before the scheduler permutes the batch; the legality pass orders
+	// same-source events by it.
+	arrival int
 }
 
 // Scheduler decides which pending events to handle and in what order
@@ -64,6 +68,13 @@ type Scheduler interface {
 	// events to run this iteration (in execution order) and the events to
 	// defer to the next iteration. The union of the returned slices must be
 	// a permutation of ready.
+	//
+	// The caller owns all memory. An implementation may permute ready in
+	// place and return views of it — typically run = ready[:k:k] and
+	// deferred = ready[k:n:n] — but must not return memory of its own: one
+	// scheduler serves every loop of a cluster trial, and a returned buffer
+	// it reuses on the next call would be overwritten while the caller
+	// still runs the batch.
 	ShuffleReady(ready []*Event) (run, deferred []*Event)
 
 	// DeferClose reports whether the close callback for the named handle

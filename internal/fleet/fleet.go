@@ -111,12 +111,11 @@ type Config struct {
 	// their first manifestation.
 	ManifestDiscount float64
 
-	// VirtualTime / Oracle / Coverage / NoArena are passed through to every
-	// child campaign (see campaign.Config).
+	// VirtualTime / Oracle / Coverage are passed through to every child
+	// campaign (see campaign.Config).
 	VirtualTime bool
 	Oracle      bool
 	Coverage    bool
-	NoArena     bool
 
 	// Dir, when set, enables checkpointing: the fleet journal lives at
 	// <Dir>/fleet.jsonl and each child campaign journals to
@@ -252,7 +251,6 @@ func New(cfg Config) (*Fleet, error) {
 			VirtualTime: cfg.VirtualTime,
 			Oracle:      cfg.Oracle,
 			Coverage:    cfg.Coverage,
-			NoArena:     cfg.NoArena,
 			// The fleet optimizes for discovery throughput; delta-debugging
 			// manifesting trials is a post-campaign activity.
 			MinimizeTrials: -1,

@@ -3,7 +3,6 @@ package simnet
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"testing"
 	"time"
 
@@ -30,25 +29,29 @@ func partitionPair(seed int64) (lc, ls *eventloop.Loop, net *Network) {
 	return
 }
 
+// runBoth runs both loops to completion under the virtual clock's
+// participant protocol: b starts through its own run grant, while a runs as
+// the participant whose registration the test goroutine took in New, handed
+// to one goroutine so the test can time out; a then releases that
+// registration so the clock can go on advancing for b.
 func runBoth(t *testing.T, a, b *eventloop.Loop) {
 	t.Helper()
-	var wg sync.WaitGroup
 	errs := make(chan error, 2)
-	for _, l := range []*eventloop.Loop{a, b} {
-		wg.Add(1)
-		go func(l *eventloop.Loop) { defer wg.Done(); errs <- l.Run() }(l)
-	}
-	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatal("loops did not terminate")
-	}
-	close(errs)
-	for err := range errs {
-		if err != nil {
-			t.Fatalf("Run: %v", err)
+	b.Go(func(err error) { errs <- err })
+	go func() {
+		err := a.Run()
+		a.Clock().Unregister()
+		errs <- err
+	}()
+	timeout := time.After(10 * time.Second)
+	for i := 0; i < 2; i++ {
+		select {
+		case err := <-errs:
+			if err != nil {
+				t.Fatalf("Run: %v", err)
+			}
+		case <-timeout:
+			t.Fatal("loops did not terminate")
 		}
 	}
 }
