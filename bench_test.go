@@ -580,3 +580,62 @@ func BenchmarkFleetSlice(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkOracleUnit measures the happens-before tracker's per-callback
+// bookkeeping in steady state: one top-level unit per op, begun with a
+// registration edge and a per-source FIFO edge and then ended — vector
+// clock join, chain extension, HB-edge and adjacency-tuple coverage — with
+// a tracker Reset every 64 units, as a campaign's reused tracker sees them.
+func BenchmarkOracleUnit(b *testing.B) {
+	kinds := []string{"timer", "net-read", "work-done", "immediate", "close", "tick"}
+	keys := []any{new(int), new(int), new(int)}
+	const unitsPerTrial = 64
+	tr := oracle.New()
+	refs := make([]oracle.Ref, unitsPerTrial)
+	unit := func(i int) {
+		k := i % unitsPerTrial
+		if k == 0 {
+			tr.Reset()
+		}
+		var reg oracle.Ref // the root registers the first unit
+		if k > 0 {
+			reg = refs[(k*7+3)%k]
+		}
+		tok := tr.BeginKeyed(kinds[(i*5+i/7)%len(kinds)], "", keys[i%len(keys)], reg)
+		refs[k] = tok.Ref()
+		tr.End(tok)
+	}
+	for i := 0; i < 2*unitsPerTrial; i++ {
+		unit(i) // grow the tracker's freelists and coverage maps
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		unit(i)
+	}
+}
+
+// BenchmarkCoverageFold measures the per-trial coverage hand-off: snapshot
+// an SIO trial's interleaving coverage from its tracker and fold it into a
+// corpus whose global coverage map has already seen every item (the steady
+// state of a long campaign). The offered schedule is a duplicate, so the
+// corpus skips its novelty scan and the op is the snapshot plus the fold.
+func BenchmarkCoverageFold(b *testing.B) {
+	tr := oracle.New()
+	bugs.ByAbbr("SIO").Run(bugs.RunConfig{
+		Seed:      1,
+		Scheduler: harness.SchedulerFor(harness.ModeFZ, 1),
+		Clock:     vclock.NewVirtual(),
+		Oracle:    tr,
+	})
+	c := campaign.NewCorpus(campaign.DefaultNoveltyThreshold, 0, 0)
+	types := []string{"timer"}
+	cov := tr.Coverage()
+	c.AdmitWithCoverage(types, &cov)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cov := tr.Coverage()
+		c.AdmitWithCoverage(types, &cov)
+	}
+}

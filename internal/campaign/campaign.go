@@ -320,9 +320,13 @@ func New(cfg Config) (*Campaign, error) {
 		// Replay journaled coverage contributions so a resumed campaign
 		// neither re-rewards nor re-admits interleavings a previous run
 		// already discovered. Pre-coverage journals carry no such records;
-		// the map simply starts empty.
+		// the map simply starts empty. A record whose trial record is
+		// missing (the run was killed between the two) belongs to a trial
+		// that runs again.
 		for _, e := range st.Coverage {
-			c.corpus.SeedCoverage(e.Pairs, e.HBDigest, e.Tuples)
+			if c.completed[e.Trial] {
+				c.corpus.SeedCoverage(e.Pairs, e.HBDigest, e.Tuples)
+			}
 		}
 		c.res.Resumed = len(c.completed)
 		c.res.Done = len(c.completed)
@@ -666,10 +670,14 @@ func (c *Campaign) runTrial(i int, w *world) trialStatus {
 	}
 
 	if c.journal != nil {
-		_ = c.journal.Append(entry)
+		// The coverage record goes first: resume seeds coverage only from
+		// trials whose trial record made it to disk, so a kill between the
+		// two appends re-runs the trial and re-discovers its coverage
+		// instead of losing it.
 		if covEntry != nil {
 			_ = c.journal.Append(*covEntry)
 		}
+		_ = c.journal.Append(entry)
 		if minEntry != nil {
 			_ = c.journal.Append(*minEntry)
 		}

@@ -309,6 +309,62 @@ func TestCampaignCoverageResumeRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCoverageResumeAfterKillMatchesStraight cuts a coverage campaign's
+// journal where a kill between a trial's two appends would: after the
+// trial's coverage record, before its trial record. Resuming from that
+// journal must end with the same global coverage map as the uninterrupted
+// campaign — the cut trial runs again and re-discovers what its orphaned
+// record named.
+func TestCoverageResumeAfterKillMatchesStraight(t *testing.T) {
+	app := bugs.ByAbbr("SIO")
+	if app == nil {
+		t.Fatal("SIO missing from corpus")
+	}
+	dir := t.TempDir()
+	cfg := Config{App: app, Trials: 40, Workers: 1, BaseSeed: 31,
+		VirtualTime: true, Coverage: true, MinimizeTrials: -1,
+		CheckpointPath: filepath.Join(dir, "straight.jsonl")}
+	straight, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(cfg.CheckpointPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.SplitAfter(data, []byte("\n"))
+	cut, seen := -1, 0
+	for i, l := range lines {
+		if bytes.Contains(l, []byte(`"type":"coverage"`)) {
+			if seen++; seen == 3 {
+				cut = i + 1
+				break
+			}
+		}
+	}
+	if cut < 0 {
+		t.Fatal("campaign journaled fewer than three coverage records")
+	}
+	cfg.CheckpointPath = filepath.Join(dir, "killed.jsonl")
+	if err := os.WriteFile(cfg.CheckpointPath, bytes.Join(lines[:cut], nil), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cfg.Resume = true
+	resumed, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resumed.Done != cfg.Trials {
+		t.Fatalf("resumed campaign did not finish: %+v", resumed)
+	}
+	if resumed.CoveragePairs != straight.CoveragePairs || resumed.CoverageDigests != straight.CoverageDigests ||
+		resumed.CoverageTuples != straight.CoverageTuples {
+		t.Fatalf("coverage after kill+resume %d/%d/%d, straight through %d/%d/%d",
+			resumed.CoveragePairs, resumed.CoverageDigests, resumed.CoverageTuples,
+			straight.CoveragePairs, straight.CoverageDigests, straight.CoverageTuples)
+	}
+}
+
 // TestCampaignResumePreCoverageJournal is the backward-compat gate: a
 // journal written before coverage feedback existed (no "coverage" records,
 // no new_coverage fields — the committed fixture) must resume cleanly with

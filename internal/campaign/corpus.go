@@ -68,14 +68,13 @@ type Corpus struct {
 	members           map[uint64]bool
 	seenWindow        int
 
-	// Coverage is the campaign-global interleaving-coverage map: every
-	// racing pair, HB-edge-set digest, and adjacency tuple any trial has
-	// ever produced. A trial contributing a never-seen racing pair or HB
-	// digest is admitted regardless of schedule novelty — interleaving
-	// coverage is the greybox signal; novelty is only its proxy.
-	covPairs   map[string]bool
-	covDigests map[string]bool
-	covTuples  map[string]bool
+	// cov is the campaign-global interleaving-coverage map: every racing
+	// pair, HB-edge-set digest, and adjacency tuple any trial has ever
+	// produced, keyed on packed kind IDs. A trial contributing a never-seen
+	// racing pair or HB digest is admitted regardless of schedule novelty —
+	// interleaving coverage is the greybox signal; novelty is only its
+	// proxy.
+	cov *oracle.CoverageMap
 
 	// intern maps each distinct callback-type string to a dense ID. The
 	// table only grows (a handful of kinds exist), never per-admission.
@@ -147,9 +146,7 @@ func NewCorpus(threshold float64, capacity, truncate int) *Corpus {
 		seenCur:    make(map[uint64]bool),
 		members:    make(map[uint64]bool),
 		seenWindow: DefaultSeenWindow,
-		covPairs:   make(map[string]bool),
-		covDigests: make(map[string]bool),
-		covTuples:  make(map[string]bool),
+		cov:        oracle.NewCoverageMap(),
 		intern:     make(map[string]int32),
 	}
 }
@@ -311,24 +308,10 @@ func (c *Corpus) AdmitWithCoverage(types []string, cov *oracle.CoverageDigest) A
 }
 
 // foldCoverageLocked merges a trial's coverage digest into the global map
-// and fills the admission's new-coverage fields. Caller holds c.mu.
+// and fills the admission's new-coverage fields; only the new items are
+// rendered to strings. Caller holds c.mu.
 func (c *Corpus) foldCoverageLocked(cov *oracle.CoverageDigest, adm *Admission) {
-	for _, p := range cov.RacingPairs {
-		if !c.covPairs[p] {
-			c.covPairs[p] = true
-			adm.NewPairs = append(adm.NewPairs, p)
-		}
-	}
-	for _, tu := range cov.Tuples {
-		if !c.covTuples[tu] {
-			c.covTuples[tu] = true
-			adm.NewTuples = append(adm.NewTuples, tu)
-		}
-	}
-	if cov.HBDigest != "" && !c.covDigests[cov.HBDigest] {
-		c.covDigests[cov.HBDigest] = true
-		adm.NewHB = true
-	}
+	adm.NewPairs, adm.NewTuples, adm.NewHB = c.cov.Fold(cov)
 	newItems := len(adm.NewPairs) + len(adm.NewTuples)
 	if adm.NewHB {
 		newItems++
@@ -344,15 +327,7 @@ func (c *Corpus) foldCoverageLocked(cov *oracle.CoverageDigest, adm *Admission) 
 func (c *Corpus) SeedCoverage(pairs []string, hbDigest string, tuples []string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for _, p := range pairs {
-		c.covPairs[p] = true
-	}
-	for _, tu := range tuples {
-		c.covTuples[tu] = true
-	}
-	if hbDigest != "" {
-		c.covDigests[hbDigest] = true
-	}
+	c.cov.Seed(pairs, hbDigest, tuples)
 }
 
 // CoverageStats reports the sizes of the global coverage map: distinct
@@ -360,7 +335,7 @@ func (c *Corpus) SeedCoverage(pairs []string, hbDigest string, tuples []string) 
 func (c *Corpus) CoverageStats() (pairs, digests, tuples int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.covPairs), len(c.covDigests), len(c.covTuples)
+	return c.cov.Len()
 }
 
 // SeenSize reports how many digests duplicate detection currently holds

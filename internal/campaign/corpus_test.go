@@ -164,12 +164,8 @@ func TestCorpusCoverageAdmission(t *testing.T) {
 
 	// One edit in four: NLD 0.25 <= 0.5, rejected on the novelty path.
 	lowNovelty := []string{"a", "b", "c", "e"}
-	cov := &oracle.CoverageDigest{
-		RacingPairs: []string{"timer|work-done"},
-		HBDigest:    "00000000deadbeef",
-		Tuples:      []string{"timer>close"},
-	}
-	adm := c.AdmitWithCoverage(lowNovelty, cov)
+	cov := oracle.CoverageOf([]string{"timer|work-done"}, "00000000deadbeef", []string{"timer>close"})
+	adm := c.AdmitWithCoverage(lowNovelty, &cov)
 	if !adm.Admitted || !adm.CoverageAdmitted {
 		t.Fatalf("new racing pair must force admission: %+v", adm)
 	}
@@ -183,21 +179,21 @@ func TestCorpusCoverageAdmission(t *testing.T) {
 
 	// Same coverage again on another low-novelty schedule: nothing new, no
 	// coverage admission, and the fraction is 0.
-	adm = c.AdmitWithCoverage([]string{"a", "b", "c", "f"}, cov)
+	adm = c.AdmitWithCoverage([]string{"a", "b", "c", "f"}, &cov)
 	if adm.Admitted || adm.CoverageAdmitted || adm.CoverageNew != 0 {
 		t.Fatalf("replayed coverage must not re-admit or re-reward: %+v", adm)
 	}
 
 	// A fresh HB digest alone (no new pairs) also admits.
-	cov2 := &oracle.CoverageDigest{HBDigest: "00000000cafe0000"}
-	adm = c.AdmitWithCoverage([]string{"a", "b", "c", "g"}, cov2)
+	cov2 := oracle.CoverageOf(nil, "00000000cafe0000", nil)
+	adm = c.AdmitWithCoverage([]string{"a", "b", "c", "g"}, &cov2)
 	if !adm.Admitted || !adm.CoverageAdmitted || !adm.NewHB {
 		t.Fatalf("new HB digest must force admission: %+v", adm)
 	}
 
 	// New tuples alone do NOT admit (they only feed the reward fraction).
-	cov3 := &oracle.CoverageDigest{HBDigest: "00000000cafe0000", Tuples: []string{"x>y"}}
-	adm = c.AdmitWithCoverage([]string{"a", "b", "c", "h"}, cov3)
+	cov3 := oracle.CoverageOf(nil, "00000000cafe0000", []string{"x>y"})
+	adm = c.AdmitWithCoverage([]string{"a", "b", "c", "h"}, &cov3)
 	if adm.Admitted || adm.CoverageAdmitted {
 		t.Fatalf("tuples alone must not admit: %+v", adm)
 	}
@@ -222,12 +218,8 @@ func TestCorpusSeedCoverage(t *testing.T) {
 		t.Fatalf("CoverageStats after seed = %d/%d/%d, want 1/1/1", pairs, digests, tuples)
 	}
 	c.Admit([]string{"a", "b", "c", "d"})
-	cov := &oracle.CoverageDigest{
-		RacingPairs: []string{"timer|close"},
-		HBDigest:    "0000000000000abc",
-		Tuples:      []string{"a>b"},
-	}
-	adm := c.AdmitWithCoverage([]string{"a", "b", "c", "e"}, cov)
+	cov := oracle.CoverageOf([]string{"timer|close"}, "0000000000000abc", []string{"a>b"})
+	adm := c.AdmitWithCoverage([]string{"a", "b", "c", "e"}, &cov)
 	if adm.Admitted || adm.CoverageAdmitted || adm.CoverageNew != 0 {
 		t.Fatalf("seeded coverage re-admitted or re-rewarded: %+v", adm)
 	}

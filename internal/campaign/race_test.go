@@ -36,12 +36,12 @@ func TestCorpusAndBanditConcurrentHammer(t *testing.T) {
 					kinds[(w*3+i*7)%len(kinds)],
 					fmt.Sprintf("k%d", (w*iters+i)%97),
 				}
-				cov := &oracle.CoverageDigest{
-					RacingPairs: []string{kinds[i%len(kinds)] + "|" + kinds[w%len(kinds)]},
-					HBDigest:    fmt.Sprintf("%016x", (w*iters+i)%131),
-					Tuples:      []string{kinds[w%len(kinds)] + ">" + kinds[i%len(kinds)]},
-				}
-				adm := c.AdmitWithCoverage(types, cov)
+				cov := oracle.CoverageOf(
+					[]string{kinds[i%len(kinds)] + "|" + kinds[w%len(kinds)]},
+					fmt.Sprintf("%016x", (w*iters+i)%131),
+					[]string{kinds[w%len(kinds)] + ">" + kinds[i%len(kinds)]},
+				)
+				adm := c.AdmitWithCoverage(types, &cov)
 				arm := b.Select()
 				if i%5 == 4 {
 					// Simulated trial error: the pull must be released, not

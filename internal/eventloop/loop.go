@@ -112,11 +112,11 @@ type Loop struct {
 	clk   vclock.Clock
 	probe *oracle.Tracker
 	role  int // the loop's virtual-clock wake role
-	// lean is set when the caller supplied no metrics registry: nobody can
-	// read the private one New creates, so the per-phase wall-clock timing
-	// (two time.Now calls and a histogram update per phase, nine phases per
-	// iteration) is skipped. The atomic Stats counters and the end-of-Run
-	// foldStats gauges remain.
+	// lean is set when the caller supplied no metrics registry. The loop
+	// then records into none: its instrument handles are nil (no-ops), and
+	// the per-phase wall-clock timing (two time.Now calls and a histogram
+	// update per phase, nine phases per iteration) is skipped. The atomic
+	// Stats counters remain.
 	lean bool
 
 	mu          sync.Mutex
@@ -221,9 +221,6 @@ func New(opts Options) *Loop {
 		opts.PoolSize = 4
 	}
 	lean := opts.Metrics == nil
-	if opts.Metrics == nil {
-		opts.Metrics = metrics.NewRegistry()
-	}
 	if opts.Clock == nil {
 		opts.Clock = vclock.Wall{}
 	}
@@ -274,7 +271,6 @@ func New(opts Options) *Loop {
 		RunLock: workLock,
 		Demux:   l.sched.DemuxDone(),
 		Metrics: l.reg,
-		Lean:    lean,
 		Clock:   l.clk,
 		Probe:   opts.Probe,
 		Post: func(kind, label string, ref oracle.Ref, cb func()) {
@@ -298,7 +294,8 @@ func (l *Loop) Scheduler() Scheduler { return l.sched }
 func (l *Loop) Clock() vclock.Clock { return l.clk }
 
 // Metrics returns the loop's metrics registry (per-phase counts and
-// durations, worker-pool activity, and whatever substrates add).
+// durations, worker-pool activity, and whatever substrates add); nil for a
+// lean loop, built without one.
 func (l *Loop) Metrics() *metrics.Registry { return l.reg }
 
 // Probe returns the loop's concurrency oracle; nil when the oracle is off.

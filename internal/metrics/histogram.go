@@ -32,6 +32,9 @@ func newHistogram(bounds []int64) *Histogram {
 
 // Observe records one value.
 func (h *Histogram) Observe(v int64) {
+	if h == nil {
+		return
+	}
 	// Binary search: first bound >= v.
 	lo, hi := 0, len(h.bounds)
 	for lo < hi {
@@ -74,7 +77,12 @@ func (h *Histogram) reset() {
 func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(int64(d)) }
 
 // Count returns the number of observations.
-func (h *Histogram) Count() int64 { return h.count.Load() }
+func (h *Histogram) Count() int64 {
+	if h == nil {
+		return 0
+	}
+	return h.count.Load()
+}
 
 func (h *Histogram) snapshot() HistogramSnapshot {
 	s := HistogramSnapshot{

@@ -16,6 +16,10 @@
 // (Histogram, fixed bucket bounds chosen at creation). Snapshot captures
 // the whole registry as a plain JSON-marshallable value; the JSONL exporter
 // in export.go streams one snapshot per trial.
+//
+// Off costs nothing: a nil *Registry is a valid, disabled registry. It hands
+// out nil instruments, and every instrument method is a no-op on a nil
+// receiver, so code instrumented against it records and allocates nothing.
 package metrics
 
 import (
@@ -30,13 +34,26 @@ type Counter struct {
 }
 
 // Inc adds 1.
-func (c *Counter) Inc() { c.v.Add(1) }
+func (c *Counter) Inc() {
+	if c != nil {
+		c.v.Add(1)
+	}
+}
 
 // Add adds n (n must be >= 0 for the counter to stay monotonic).
-func (c *Counter) Add(n int64) { c.v.Add(n) }
+func (c *Counter) Add(n int64) {
+	if c != nil {
+		c.v.Add(n)
+	}
+}
 
 // Value returns the current count.
-func (c *Counter) Value() int64 { return c.v.Load() }
+func (c *Counter) Value() int64 {
+	if c == nil {
+		return 0
+	}
+	return c.v.Load()
+}
 
 // Gauge is a last-value-wins atomic gauge.
 type Gauge struct {
@@ -44,17 +61,31 @@ type Gauge struct {
 }
 
 // Set stores v.
-func (g *Gauge) Set(v int64) { g.v.Store(v) }
+func (g *Gauge) Set(v int64) {
+	if g != nil {
+		g.v.Store(v)
+	}
+}
 
 // Add adjusts the gauge by delta (which may be negative).
-func (g *Gauge) Add(delta int64) { g.v.Add(delta) }
+func (g *Gauge) Add(delta int64) {
+	if g != nil {
+		g.v.Add(delta)
+	}
+}
 
 // Value returns the current value.
-func (g *Gauge) Value() int64 { return g.v.Load() }
+func (g *Gauge) Value() int64 {
+	if g == nil {
+		return 0
+	}
+	return g.v.Load()
+}
 
 // Registry is a named collection of instruments. Lookups lock; the returned
 // instruments do not — resolve once, then record freely from any goroutine.
-// The zero value is not usable; call NewRegistry.
+// The zero value is not usable; call NewRegistry. A nil *Registry is the
+// disabled registry (see the package comment).
 type Registry struct {
 	mu       sync.Mutex
 	counters map[string]*Counter
@@ -73,6 +104,9 @@ func NewRegistry() *Registry {
 
 // Counter returns the named counter, creating it on first use.
 func (r *Registry) Counter(name string) *Counter {
+	if r == nil {
+		return nil
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	c, ok := r.counters[name]
@@ -85,6 +119,9 @@ func (r *Registry) Counter(name string) *Counter {
 
 // Gauge returns the named gauge, creating it on first use.
 func (r *Registry) Gauge(name string) *Gauge {
+	if r == nil {
+		return nil
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	g, ok := r.gauges[name]
@@ -99,6 +136,9 @@ func (r *Registry) Gauge(name string) *Gauge {
 // upper bounds on first use. bounds must be ascending; they are copied. A
 // later call with different bounds returns the existing histogram unchanged.
 func (r *Registry) Histogram(name string, bounds []int64) *Histogram {
+	if r == nil {
+		return nil
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	h, ok := r.hists[name]

@@ -209,3 +209,24 @@ func (failWriter) Write(p []byte) (int, error) {
 }
 
 var errShort = io.ErrShortWrite
+
+// TestNilRegistryIsDisabled: a nil registry is the zero-cost "metrics off"
+// registry — it hands out nil instruments, every instrument method is a
+// no-op on them, and none of it allocates.
+func TestNilRegistryIsDisabled(t *testing.T) {
+	var r *Registry
+	allocs := testing.AllocsPerRun(100, func() {
+		c, g, h := r.Counter("c"), r.Gauge("g"), r.Histogram("h", DepthBounds())
+		c.Inc()
+		c.Add(3)
+		g.Set(7)
+		g.Add(-1)
+		h.Observe(42)
+		if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 {
+			t.Fatal("nil instruments recorded a value")
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("disabled registry allocated %.0f times per run", allocs)
+	}
+}

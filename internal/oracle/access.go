@@ -46,7 +46,7 @@ func (t *Tracker) Access(cell string, kind AccessKind) {
 			continue
 		}
 		if !happensBefore(s.owner, u) && !happensBefore(u, s.owner) {
-			t.noteRacingPair(s.owner.kind, u.kind)
+			t.noteRacingPair(s.owner, u)
 			t.report(Report{
 				Kind:   "atomicity",
 				Cell:   cell,
@@ -70,7 +70,7 @@ func (t *Tracker) Access(cell string, kind AccessKind) {
 			if happensBefore(rec.u, u) {
 				continue
 			}
-			t.noteRacingPair(rec.u.kind, u.kind)
+			t.noteRacingPair(rec.u, u)
 			vkind := "ordering"
 			for j := 0; j < i; j++ {
 				if p := cs.hist[j]; p.u != rec.u && happensBefore(p.u, u) {

@@ -1,8 +1,8 @@
 package oracle
 
 import (
+	"slices"
 	"sort"
-	"strconv"
 )
 
 // CoverageDigest is the per-trial interleaving-coverage summary mined from
@@ -25,63 +25,142 @@ import (
 //     top level of the schedule — the schedule-sensitive n-gram coverage of
 //     the interleaving itself.
 //
-// All three sets are accumulated under the tracker's mutex on the event-loop
-// goroutine and emitted sorted, so with a fixed seed under a virtual clock
-// the digest is a pure function of the trial (bit-identical across runs).
+// Pairs and tuples are held as packed kind-ID keys (see kindTable); no
+// string is built until someone asks for one. RacingPairs and Tuples
+// render them — "kindA|kindB" with the kinds in string order, "a>b",
+// "a>b>c" — each set sorted, and CoverageMap renders only the items a
+// campaign has never seen. With a fixed seed under a virtual clock the
+// digest is a pure function of the trial (bit-identical across runs).
 type CoverageDigest struct {
-	// RacingPairs holds canonical "kindA|kindB" strings, kinds sorted
-	// within the pair, the set sorted.
-	RacingPairs []string `json:"racing_pairs,omitempty"`
 	// HBDigest is the 16-hex-digit XOR-folded FNV-1a digest of the
-	// distinct type-level happens-before edges.
-	HBDigest string `json:"hb_digest"`
-	// Tuples holds "a>b" and "a>b>c" adjacency n-grams, sorted.
-	Tuples []string `json:"tuples,omitempty"`
+	// distinct type-level happens-before edges; empty when the digest was
+	// built from records that carried none.
+	HBDigest string
+
+	pairs  []uint64 // racing pairs, kinds in string order; sorted
+	tuples []uint64 // adjacency 2- and 3-tuples; sorted
 }
 
 // Items counts the digest's coverage items (pairs + tuples + the HB digest
 // itself); the campaign uses it as the denominator of the new-coverage
 // reward fraction.
 func (d CoverageDigest) Items() int {
-	return len(d.RacingPairs) + len(d.Tuples) + 1
+	return len(d.pairs) + len(d.tuples) + 1
 }
 
-// tupleKey is one adjacency n-gram held unrendered: a 2-tuple leaves the
-// third element empty (kinds are never empty strings). Array keys keep the
-// hot noteTopLevel path free of the string concatenation a map[string]bool
-// would force on every call; Coverage renders the strings once per
-// snapshot.
-type tupleKey [3]string
+// RacingPairs renders the racing pairs as sorted "kindA|kindB" strings
+// (nil when there are none).
+func (d CoverageDigest) RacingPairs() []string { return renderSorted(d.pairs, '|') }
 
-// coverage is the tracker-side accumulator behind CoverageDigest.
+// Tuples renders the adjacency n-grams as sorted "a>b" / "a>b>c" strings
+// (nil when there are none).
+func (d CoverageDigest) Tuples() []string { return renderSorted(d.tuples, '>') }
+
+func renderSorted(keys []uint64, sep byte) []string {
+	if len(keys) == 0 {
+		return nil
+	}
+	out := make([]string, len(keys))
+	for i, k := range keys {
+		out[i] = kinds.render(k, sep)
+	}
+	sort.Strings(out)
+	return out
+}
+
+// CoverageOf builds a digest from rendered items, the form coverage
+// journal records and tests spell them in; trackers build theirs with
+// Coverage. Malformed items are dropped; an empty hbDigest means none.
+func CoverageOf(pairs []string, hbDigest string, tuples []string) CoverageDigest {
+	d := CoverageDigest{HBDigest: hbDigest}
+	for _, p := range pairs {
+		if k, ok := kinds.parse(p, '|'); ok {
+			d.pairs = append(d.pairs, k)
+		}
+	}
+	for _, tu := range tuples {
+		if k, ok := kinds.parse(tu, '>'); ok {
+			d.tuples = append(d.tuples, k)
+		}
+	}
+	slices.Sort(d.pairs)
+	slices.Sort(d.tuples)
+	return d
+}
+
+// coverage is the tracker-side accumulator behind CoverageDigest. Every
+// set maps a packed key to the trial stamp it was last seen in, so Reset is
+// a stamp increment rather than a clear, and the edge map doubles as the
+// memo of each edge's FNV-1a hash. The stamps sit behind pointers so a key
+// seen in an earlier trial is re-stamped with one map lookup.
 type coverage struct {
-	pairs    map[string]bool
-	tuples   map[tupleKey]bool
-	hbSeen   map[uint64]bool
-	hbDigest uint64
-	// prev1/prev2 are the kinds of the last and second-to-last top-level
-	// units, for adjacency n-grams; topCount tracks how many top-level
-	// units have begun.
-	prev1, prev2 string
-	topCount     int
+	ids map[string]uint32 // lock-free cache of kinds.id
+
+	trial     uint32 // entries stamped with it were seen this trial
+	edges     map[uint64]*edgeSeen
+	pairSeen  map[uint64]*uint32
+	tupleSeen map[uint64]*uint32
+	// pairs and tuples list this trial's distinct keys in discovery order.
+	pairs, tuples []uint64
+	hbDigest      uint64
+	// prev1/prev2 are the kind IDs of the last and second-to-last
+	// top-level units (0 before there are any), for adjacency n-grams.
+	prev1, prev2 uint32
+}
+
+// edgeSeen is one type-level HB edge's FNV-1a hash and the last trial
+// stamp it was folded into the digest in.
+type edgeSeen struct {
+	hash  uint64
+	trial uint32
 }
 
 func newCoverage() *coverage {
 	return &coverage{
-		pairs:  make(map[string]bool),
-		tuples: make(map[tupleKey]bool),
-		hbSeen: make(map[uint64]bool),
+		ids:       make(map[string]uint32),
+		trial:     1,
+		edges:     make(map[uint64]*edgeSeen),
+		pairSeen:  make(map[uint64]*uint32),
+		tupleSeen: make(map[uint64]*uint32),
 	}
 }
 
-// reset clears the accumulator in place, keeping map storage.
+// reset starts a new trial, keeping map storage and the edge-hash memo.
 func (c *coverage) reset() {
-	clear(c.pairs)
-	clear(c.tuples)
-	clear(c.hbSeen)
+	c.trial++
+	if c.trial == 0 { // wrapped: stale stamps could alias the new trial
+		clear(c.edges)
+		clear(c.pairSeen)
+		clear(c.tupleSeen)
+		c.trial = 1
+	}
+	c.pairs, c.tuples = c.pairs[:0], c.tuples[:0]
 	c.hbDigest = 0
-	c.prev1, c.prev2 = "", ""
-	c.topCount = 0
+	c.prev1, c.prev2 = 0, 0
+}
+
+// id returns kind's interned ID, from the tracker's cache when it can.
+func (c *coverage) id(kind string) uint32 {
+	if id, ok := c.ids[kind]; ok {
+		return id
+	}
+	id := kinds.id(kind)
+	c.ids[kind] = id
+	return id
+}
+
+// mark stamps key as seen this trial in m and reports whether it was new.
+func (c *coverage) mark(m map[uint64]*uint32, key uint64) bool {
+	p := m[key]
+	if p == nil {
+		p = new(uint32)
+		m[key] = p
+	}
+	if *p == c.trial {
+		return false
+	}
+	*p = c.trial
+	return true
 }
 
 // FNV-1a parameters (hash/fnv's 64-bit variant, inlined so the per-edge
@@ -110,41 +189,54 @@ func edgeHash(from, to string) uint64 {
 	return h
 }
 
-// noteHBEdge folds one type-level causality edge into the HB-edge set
-// digest. XOR over distinct edge hashes makes the digest order-insensitive:
-// it identifies the edge *set*, not the discovery order. Caller holds t.mu.
-func (t *Tracker) noteHBEdge(from, to string) {
+// noteHBEdge folds the type-level causality edge from → to into the
+// HB-edge set digest. XOR over distinct edges makes the digest
+// order-insensitive: it identifies the edge *set*, not the discovery
+// order. The edge's hash is computed from the kind strings the first time
+// the tracker sees the edge and reused after. Caller holds t.mu.
+func (t *Tracker) noteHBEdge(from, to *unit) {
 	c := t.cov
-	h := edgeHash(from, to)
-	if c.hbSeen[h] {
+	key := packKey(from.kindID, to.kindID, 0)
+	e := c.edges[key]
+	if e == nil {
+		e = &edgeSeen{hash: edgeHash(from.kind, to.kind)}
+		c.edges[key] = e
+	}
+	if e.trial == c.trial {
 		return
 	}
-	c.hbSeen[h] = true
-	c.hbDigest ^= h
+	e.trial = c.trial
+	c.hbDigest ^= e.hash
 }
 
 // noteTopLevel records a top-level callback execution for adjacency-tuple
 // coverage. Caller holds t.mu.
-func (t *Tracker) noteTopLevel(kind string) {
+func (t *Tracker) noteTopLevel(u *unit) {
 	c := t.cov
-	if c.topCount >= 1 {
-		c.tuples[tupleKey{c.prev1, kind}] = true
+	if c.prev1 != 0 {
+		if k := packKey(c.prev1, u.kindID, 0); c.mark(c.tupleSeen, k) {
+			c.tuples = append(c.tuples, k)
+		}
 	}
-	if c.topCount >= 2 {
-		c.tuples[tupleKey{c.prev2, c.prev1, kind}] = true
+	if c.prev2 != 0 {
+		if k := packKey(c.prev2, c.prev1, u.kindID); c.mark(c.tupleSeen, k) {
+			c.tuples = append(c.tuples, k)
+		}
 	}
-	c.prev2, c.prev1 = c.prev1, kind
-	c.topCount++
+	c.prev2, c.prev1 = c.prev1, u.kindID
 }
 
-// noteRacingPair records that units of kinds a and b raced (conflicting
-// accesses, unordered by HB). The pair is canonicalized so (a,b) and (b,a)
-// coincide. Caller holds t.mu.
-func (t *Tracker) noteRacingPair(a, b string) {
-	if b < a {
+// noteRacingPair records that units a and b raced (conflicting accesses,
+// unordered by HB). The pair is canonicalized by kind string order so
+// (a,b) and (b,a) coincide. Caller holds t.mu.
+func (t *Tracker) noteRacingPair(a, b *unit) {
+	if b.kind < a.kind {
 		a, b = b, a
 	}
-	t.cov.pairs[a+"|"+b] = true
+	c := t.cov
+	if k := packKey(a.kindID, b.kindID, 0); c.mark(c.pairSeen, k) {
+		c.pairs = append(c.pairs, k)
+	}
 }
 
 // Coverage snapshots the trial's interleaving coverage. Safe on a nil
@@ -157,34 +249,92 @@ func (t *Tracker) Coverage() CoverageDigest {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	c := t.cov
-	d := CoverageDigest{HBDigest: hbDigestString(c.hbDigest)}
-	if len(c.pairs) > 0 {
-		d.RacingPairs = make([]string, 0, len(c.pairs))
-		for p := range c.pairs {
-			d.RacingPairs = append(d.RacingPairs, p)
-		}
-		sort.Strings(d.RacingPairs)
+	d := CoverageDigest{
+		HBDigest: hbDigestString(c.hbDigest),
+		pairs:    append([]uint64(nil), c.pairs...), // nil when empty, fresh or reset
+		tuples:   append([]uint64(nil), c.tuples...),
 	}
-	if len(c.tuples) > 0 {
-		d.Tuples = make([]string, 0, len(c.tuples))
-		for tu := range c.tuples {
-			if tu[2] == "" {
-				d.Tuples = append(d.Tuples, tu[0]+">"+tu[1])
-			} else {
-				d.Tuples = append(d.Tuples, tu[0]+">"+tu[1]+">"+tu[2])
-			}
-		}
-		sort.Strings(d.Tuples)
-	}
+	slices.Sort(d.pairs)
+	slices.Sort(d.tuples)
 	return d
 }
 
 // hbDigestString renders the edge-set digest as fixed-width hex, the same
 // form the campaign journal stores schedule digests in.
 func hbDigestString(d uint64) string {
-	s := strconv.FormatUint(d, 16)
-	for len(s) < 16 {
-		s = "0" + s
+	const hexDigits = "0123456789abcdef"
+	var b [16]byte
+	for i := len(b) - 1; i >= 0; i-- {
+		b[i] = hexDigits[d&15]
+		d >>= 4
 	}
-	return s
+	return string(b[:])
+}
+
+// CoverageMap is a campaign-global record of every coverage item any trial
+// has produced, keyed on packed kind IDs. Only items new to the map are
+// ever rendered to strings. It is not safe for concurrent use; the corpus
+// guards it with its own lock.
+type CoverageMap struct {
+	pairs, tuples map[uint64]bool
+	digests       map[string]bool
+}
+
+// NewCoverageMap returns an empty map.
+func NewCoverageMap() *CoverageMap {
+	return &CoverageMap{
+		pairs:   make(map[uint64]bool),
+		tuples:  make(map[uint64]bool),
+		digests: make(map[string]bool),
+	}
+}
+
+// Fold marks d's items seen. It returns the pairs and tuples that were new
+// to the map, rendered and sorted as RacingPairs and Tuples render them,
+// and whether d's HB digest was new.
+func (m *CoverageMap) Fold(d *CoverageDigest) (newPairs, newTuples []string, newHB bool) {
+	newPairs = fold(m.pairs, d.pairs, '|')
+	newTuples = fold(m.tuples, d.tuples, '>')
+	if d.HBDigest != "" && !m.digests[d.HBDigest] {
+		m.digests[d.HBDigest] = true
+		newHB = true
+	}
+	return newPairs, newTuples, newHB
+}
+
+func fold(seen map[uint64]bool, keys []uint64, sep byte) []string {
+	var fresh []string
+	for _, k := range keys {
+		if !seen[k] {
+			seen[k] = true
+			fresh = append(fresh, kinds.render(k, sep))
+		}
+	}
+	sort.Strings(fresh)
+	return fresh
+}
+
+// Seed marks rendered items seen without reporting them — the resume path
+// replays journaled coverage records through it. Malformed items are
+// dropped; an empty hbDigest means none.
+func (m *CoverageMap) Seed(pairs []string, hbDigest string, tuples []string) {
+	for _, p := range pairs {
+		if k, ok := kinds.parse(p, '|'); ok {
+			m.pairs[k] = true
+		}
+	}
+	for _, tu := range tuples {
+		if k, ok := kinds.parse(tu, '>'); ok {
+			m.tuples[k] = true
+		}
+	}
+	if hbDigest != "" {
+		m.digests[hbDigest] = true
+	}
+}
+
+// Len reports the number of distinct racing pairs, HB digests and tuples
+// seen.
+func (m *CoverageMap) Len() (pairs, digests, tuples int) {
+	return len(m.pairs), len(m.digests), len(m.tuples)
 }

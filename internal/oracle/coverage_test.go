@@ -29,8 +29,8 @@ func TestCoverageRacingPairs(t *testing.T) {
 		t.Fatalf("fixture should report exactly one violation, got %d", len(reps))
 	}
 	cov := tr.Coverage()
-	if !reflect.DeepEqual(cov.RacingPairs, []string{"timer|work-done"}) {
-		t.Fatalf("RacingPairs = %v, want [timer|work-done] (canonical sorted pair)", cov.RacingPairs)
+	if !reflect.DeepEqual(cov.RacingPairs(), []string{"timer|work-done"}) {
+		t.Fatalf("RacingPairs = %v, want [timer|work-done] (canonical sorted pair)", cov.RacingPairs())
 	}
 }
 
@@ -47,8 +47,8 @@ func TestCoverageTopLevelTuples(t *testing.T) {
 	}
 	cov := tr.Coverage()
 	want := []string{"timer>work", "timer>work>close", "work>close"}
-	if !reflect.DeepEqual(cov.Tuples, want) {
-		t.Fatalf("Tuples = %v, want %v", cov.Tuples, want)
+	if !reflect.DeepEqual(cov.Tuples(), want) {
+		t.Fatalf("Tuples = %v, want %v", cov.Tuples(), want)
 	}
 }
 
@@ -98,7 +98,7 @@ func TestCoverageSyncEdgeCounts(t *testing.T) {
 func TestCoverageNilTracker(t *testing.T) {
 	var tr *Tracker
 	cov := tr.Coverage()
-	if cov.RacingPairs != nil || cov.Tuples != nil || cov.HBDigest != "0000000000000000" {
+	if cov.RacingPairs() != nil || cov.Tuples() != nil || cov.HBDigest != "0000000000000000" {
 		t.Fatalf("nil tracker coverage = %+v", cov)
 	}
 	if cov.Items() != 1 {
@@ -112,7 +112,7 @@ func TestCoverageOutputSortedAndStable(t *testing.T) {
 	if !reflect.DeepEqual(c1, c2) {
 		t.Fatalf("repeated Coverage() calls differ: %+v vs %+v", c1, c2)
 	}
-	if !sort.StringsAreSorted(c1.RacingPairs) || !sort.StringsAreSorted(c1.Tuples) {
+	if !sort.StringsAreSorted(c1.RacingPairs()) || !sort.StringsAreSorted(c1.Tuples()) {
 		t.Fatalf("coverage sets not sorted: %+v", c1)
 	}
 }

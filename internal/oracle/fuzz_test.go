@@ -1,6 +1,7 @@
 package oracle
 
 import (
+	"fmt"
 	"reflect"
 	"sort"
 	"strconv"
@@ -16,7 +17,10 @@ import (
 //     CoverageDigest (the campaign's determinism gate relies on this);
 //   - canonical form: sets sorted and duplicate-free, racing pairs ordered
 //     within the pair, HBDigest fixed-width hex;
-//   - the digest is insensitive to when it is read (snapshot purity).
+//   - the digest is insensitive to when it is read (snapshot purity);
+//   - exactness: the packed digest renders to the strings refCoverage, the
+//     string-keyed accumulator the packed one replaced, produces from the
+//     same operations.
 func FuzzCoverageDigest(f *testing.F) {
 	f.Add([]byte{0x00, 0x11, 0x22, 0x33})
 	f.Add([]byte{0xff, 0x80, 0x41, 0x07, 0x99, 0x12, 0x55, 0xc3})
@@ -25,15 +29,34 @@ func FuzzCoverageDigest(f *testing.F) {
 	cells := []string{"db:a", "db:b", "fs:p"}
 	drive := func(data []byte) CoverageDigest {
 		tr := New()
+		tr.maxRep = 1 << 30 // every racing pair is reported, for the reference
+		ref := newRefCoverage()
 		var units []Ref
 		units = append(units, tr.Current())
 		var open []Token
+		lastSync := map[string]*unit{}
+		top := func() *unit {
+			if n := len(open); n > 0 {
+				return open[n-1].u
+			}
+			return units[0].u
+		}
 		for i := 0; i+1 < len(data); i += 2 {
 			op, arg := data[i], data[i+1]
 			switch op % 4 {
 			case 0: // Begin, registered by some earlier unit
-				ref := units[int(arg)%len(units)]
-				tok := tr.Begin(kinds[int(arg)%len(kinds)], "", ref)
+				r := units[int(arg)%len(units)]
+				kind := kinds[int(arg)%len(kinds)]
+				// The reference sees the edges and adjacency the tracker
+				// should: registering unit → kind, plus program order
+				// from the enclosing unit when nested.
+				ref.noteHBEdge(r.u.kind, kind)
+				if len(open) > 0 {
+					ref.noteHBEdge(top().kind, kind)
+				} else {
+					ref.noteTopLevel(kind)
+				}
+				tok := tr.Begin(kind, "", r)
 				units = append(units, tok.Ref())
 				open = append(open, tok)
 			case 1: // End innermost
@@ -44,8 +67,25 @@ func FuzzCoverageDigest(f *testing.F) {
 			case 2: // Access
 				tr.Access(cells[int(arg)%len(cells)], AccessKind(arg%3))
 			case 3: // Sync
-				tr.Sync(cells[int(arg)%len(cells)])
+				key, cur := cells[int(arg)%len(cells)], top()
+				if prev := lastSync[key]; prev != nil && prev != cur {
+					ref.noteHBEdge(prev.kind, cur.kind)
+				}
+				lastSync[key] = cur
+				tr.Sync(key)
 			}
+		}
+		// Every racing pair raises a report (the cap is lifted above), so
+		// the reports name the pairs the reference should hold.
+		for _, r := range tr.Reports() {
+			ref.noteRacingPair(r.First.Kind, r.Second.Kind)
+		}
+		want := ref.Coverage()
+		got := tr.Coverage()
+		if !reflect.DeepEqual(got.RacingPairs(), want.RacingPairs) || got.HBDigest != want.HBDigest ||
+			!reflect.DeepEqual(got.Tuples(), want.Tuples) || got.Items() != len(want.RacingPairs)+len(want.Tuples)+1 {
+			panic(fmt.Sprintf("packed digest pairs %q hb %s tuples %q differs from the string reference %+v",
+				got.RacingPairs(), got.HBDigest, got.Tuples(), want))
 		}
 		mid := tr.Coverage()
 		for _, tok := range open {
@@ -81,9 +121,9 @@ func FuzzCoverageDigest(f *testing.F) {
 				}
 			}
 		}
-		checkSet("RacingPairs", c1.RacingPairs)
-		checkSet("Tuples", c1.Tuples)
-		for _, p := range c1.RacingPairs {
+		checkSet("RacingPairs", c1.RacingPairs())
+		checkSet("Tuples", c1.Tuples())
+		for _, p := range c1.RacingPairs() {
 			halves := strings.SplitN(p, "|", 2)
 			if len(halves) != 2 || halves[0] > halves[1] {
 				t.Fatalf("racing pair %q not canonical", p)
@@ -203,4 +243,77 @@ func FuzzVectorClock(f *testing.F) {
 			}
 		}
 	})
+}
+
+// refStringDigest is the string form CoverageDigest had before its sets
+// were packed.
+type refStringDigest struct {
+	RacingPairs []string
+	HBDigest    string
+	Tuples      []string
+}
+
+// refCoverage is the string-keyed coverage accumulator the packed one
+// replaced, kept verbatim as the exactness reference: pairs as "a|b"
+// strings, tuples as [3]string keys, edges deduplicated by their FNV-1a
+// hash.
+type refCoverage struct {
+	pairs        map[string]bool
+	tuples       map[[3]string]bool
+	hbSeen       map[uint64]bool
+	hbDigest     uint64
+	prev1, prev2 string
+	topCount     int
+}
+
+func newRefCoverage() *refCoverage {
+	return &refCoverage{
+		pairs:  make(map[string]bool),
+		tuples: make(map[[3]string]bool),
+		hbSeen: make(map[uint64]bool),
+	}
+}
+
+func (c *refCoverage) noteHBEdge(from, to string) {
+	h := edgeHash(from, to)
+	if c.hbSeen[h] {
+		return
+	}
+	c.hbSeen[h] = true
+	c.hbDigest ^= h
+}
+
+func (c *refCoverage) noteTopLevel(kind string) {
+	if c.topCount >= 1 {
+		c.tuples[[3]string{c.prev1, kind}] = true
+	}
+	if c.topCount >= 2 {
+		c.tuples[[3]string{c.prev2, c.prev1, kind}] = true
+	}
+	c.prev2, c.prev1 = c.prev1, kind
+	c.topCount++
+}
+
+func (c *refCoverage) noteRacingPair(a, b string) {
+	if b < a {
+		a, b = b, a
+	}
+	c.pairs[a+"|"+b] = true
+}
+
+func (c *refCoverage) Coverage() refStringDigest {
+	d := refStringDigest{HBDigest: fmt.Sprintf("%016x", c.hbDigest)}
+	for p := range c.pairs {
+		d.RacingPairs = append(d.RacingPairs, p)
+	}
+	sort.Strings(d.RacingPairs)
+	for tu := range c.tuples {
+		if tu[2] == "" {
+			d.Tuples = append(d.Tuples, tu[0]+">"+tu[1])
+		} else {
+			d.Tuples = append(d.Tuples, tu[0]+">"+tu[1]+">"+tu[2])
+		}
+	}
+	sort.Strings(d.Tuples)
+	return d
 }

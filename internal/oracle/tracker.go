@@ -1,6 +1,9 @@
 package oracle
 
-import "sync"
+import (
+	"slices"
+	"sync"
+)
 
 // unit is one callback execution (or the implicit root for code that runs
 // before the loop starts). Units are ordered by the happens-before
@@ -8,6 +11,7 @@ import "sync"
 type unit struct {
 	id      uint64 // creation index; deterministic under virtual time
 	kind    string // callback kind as recorded by the substrate ("timer", ...)
+	kindID  uint32 // kind interned in the process-wide kind table
 	label   string // free-form detail ("detector", handle name, ...)
 	chain   int32  // chain of the greedy decomposition this unit belongs to
 	index   uint32 // 1-based position within its chain
@@ -61,7 +65,7 @@ type Tracker struct {
 	stack     []*unit // execution stack; bottom is the implicit root unit
 	lastByKey map[any]*unit
 	lastSync  map[string]*unit
-	taintSet  map[string]bool
+	taint     []string // a handful of labels: a scan beats hashing per unit
 	cells     map[string]*cellState
 	cellOrder []string // creation order, for deterministic iteration
 	reports   []Report
@@ -94,6 +98,9 @@ func (t *Tracker) getUnit() *unit {
 	return u
 }
 
+// defaultTaint is the taint label set a new or reset tracker starts with.
+var defaultTaint = []string{"detector", "watchdog"}
+
 // New returns a Tracker with an implicit root unit on the stack: code that
 // runs before the loop (application setup) attributes its registrations
 // and accesses to the root, so sequential setup is totally ordered.
@@ -101,13 +108,13 @@ func New() *Tracker {
 	t := &Tracker{
 		lastByKey: make(map[any]*unit),
 		lastSync:  make(map[string]*unit),
-		taintSet:  map[string]bool{"detector": true, "watchdog": true},
+		taint:     slices.Clone(defaultTaint),
 		cells:     make(map[string]*cellState),
 		maxRep:    256,
 		dedup:     make(map[reportKey]bool),
 		cov:       newCoverage(),
 	}
-	root := &unit{id: 0, kind: "root", chain: 0, index: 1, vc: vclockT{1}}
+	root := &unit{id: 0, kind: "root", kindID: t.cov.id("root"), chain: 0, index: 1, vc: vclockT{1}}
 	t.allUnits = append(t.allUnits, root)
 	t.nextID = 1
 	t.chainTail = []*unit{root}
@@ -129,9 +136,7 @@ func (t *Tracker) Reset() {
 	defer t.mu.Unlock()
 	clear(t.lastByKey)
 	clear(t.lastSync)
-	clear(t.taintSet)
-	t.taintSet["detector"] = true
-	t.taintSet["watchdog"] = true
+	t.taint = append(t.taint[:0], defaultTaint...)
 	for _, cs := range t.cells {
 		clear(cs.hist)
 		cs.hist = cs.hist[:0]
@@ -145,7 +150,7 @@ func (t *Tracker) Reset() {
 	clear(t.dedup)
 	t.cov.reset()
 	for i, u := range t.allUnits {
-		u.id, u.kind, u.label = 0, "", ""
+		u.id, u.kind, u.kindID, u.label = 0, "", 0, ""
 		u.chain, u.index = 0, 0
 		u.vc = u.vc[:0]
 		u.parent, u.tainted = nil, false
@@ -154,7 +159,7 @@ func (t *Tracker) Reset() {
 	}
 	t.allUnits = t.allUnits[:0]
 	root := t.getUnit()
-	root.kind, root.index = "root", 1
+	root.kind, root.kindID, root.index = "root", t.cov.id("root"), 1
 	root.vc = append(root.vc, 1)
 	t.nextID = 1
 	t.chainTail = append(t.chainTail[:0], root)
@@ -170,10 +175,7 @@ func (t *Tracker) SetTaintLabels(labels ...string) {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.taintSet = make(map[string]bool, len(labels))
-	for _, l := range labels {
-		t.taintSet[l] = true
-	}
+	t.taint = slices.Clone(labels)
 }
 
 // Current returns a Ref to the executing unit (the innermost Begin, or the
@@ -190,7 +192,8 @@ func (t *Tracker) Current() Ref {
 // Begin starts a unit for one callback execution. Its predecessors are the
 // given refs plus, when this call nests inside another unit (a substrate
 // draining several completions inside one loop callback), the enclosing
-// unit. Pair with End.
+// unit. Pair with End. kind must be non-empty and free of '|' and '>', the
+// separators of rendered coverage items; Begin panics otherwise.
 func (t *Tracker) Begin(kind, label string, refs ...Ref) Token {
 	if t == nil {
 		return Token{}
@@ -230,7 +233,7 @@ func (t *Tracker) BeginKeyed(kind, label string, key any, refs ...Ref) Token {
 // Caller holds t.mu.
 func (t *Tracker) newUnit(kind, label string, refs []Ref, extra *unit) *unit {
 	u := t.getUnit()
-	u.id, u.kind, u.label = t.nextID, kind, label
+	u.id, u.kind, u.kindID, u.label = t.nextID, kind, t.cov.id(kind), label
 	t.nextID++
 	preds := t.predScratch[:0]
 	for _, r := range refs {
@@ -255,14 +258,14 @@ func (t *Tracker) newUnit(kind, label string, refs []Ref, extra *unit) *unit {
 		if p.tainted {
 			u.tainted = true
 		}
-		t.noteHBEdge(p.kind, kind)
+		t.noteHBEdge(p, u)
 	}
 	if len(t.stack) == 1 {
 		// Begin has not pushed yet: only the root below means this unit is a
 		// top-level callback — one element of the interleaving itself.
-		t.noteTopLevel(kind)
+		t.noteTopLevel(u)
 	}
-	if t.taintSet[label] || t.taintSet[kind] {
+	if slices.Contains(t.taint, label) || slices.Contains(t.taint, kind) {
 		u.tainted = true
 	}
 	// Greedy chain decomposition: extend the first predecessor that is
@@ -336,7 +339,7 @@ func (t *Tracker) Sync(key string) {
 		if prev.tainted {
 			cur.tainted = true
 		}
-		t.noteHBEdge(prev.kind, cur.kind)
+		t.noteHBEdge(prev, cur)
 	}
 	t.lastSync[key] = cur
 }

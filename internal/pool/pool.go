@@ -101,12 +101,8 @@ type Config struct {
 	// limit. Nil means the limit is ignored.
 	TimeInPoll func() time.Duration
 	// Metrics receives pool activity: task/done queue depths, task
-	// durations, worker busy time. Nil creates a private registry.
+	// durations, worker busy time. Nil records nothing.
 	Metrics *metrics.Registry
-	// Lean skips the histogram observations and the wall-clock task timing
-	// feeding them even when Metrics is set; the atomic counters remain.
-	// The loop sets it when its own caller asked for no metrics.
-	Lean bool
 	// Clock is the pool's time source for the lookahead wait; the workers
 	// register as clock participants. Nil means vclock.Wall.
 	Clock vclock.Clock
@@ -120,9 +116,8 @@ type Pool struct {
 	clk  vclock.Clock
 	role int // the workers' shared virtual-clock wake role
 	// lean is set when the owner supplied no metrics registry: the
-	// histogram observations and the wall-clock task timing feeding them
-	// are skipped (the atomic counters remain), which removes two
-	// time.Now calls plus four histogram updates from every task.
+	// instruments are nil (no-ops), and the wall-clock task timing feeding
+	// them is skipped, which removes two time.Now calls from every task.
 	lean bool
 
 	mu     sync.Mutex
@@ -168,10 +163,7 @@ func New(cfg Config) *Pool {
 	if cfg.Post == nil {
 		panic("pool: Config.Post is required")
 	}
-	lean := cfg.Lean || cfg.Metrics == nil
-	if cfg.Metrics == nil {
-		cfg.Metrics = metrics.NewRegistry()
-	}
+	lean := cfg.Metrics == nil
 	if cfg.Clock == nil {
 		cfg.Clock = vclock.Wall{}
 	}

@@ -290,11 +290,12 @@ func (n *Network) Dial(loop *eventloop.Loop, addr string, onConnect func(*Conn, 
 	seq := n.connSeq
 	n.mu.Unlock()
 
+	clientName := fmt.Sprintf("conn%d:client", seq)
 	client := &Conn{
 		net:  n,
 		loop: loop,
-		src:  loop.NewSource(fmt.Sprintf("conn%d:client", seq)),
-		name: fmt.Sprintf("conn%d:client", seq),
+		src:  loop.NewSource(clientName),
+		name: clientName,
 	}
 
 	n.engine.schedule(n.latency()+n.perturbDelay(client.name), time.Time{}, func() {
@@ -314,11 +315,12 @@ func (n *Network) Dial(loop *eventloop.Loop, addr string, onConnect func(*Conn, 
 			})
 			return
 		}
+		serverName := fmt.Sprintf("conn%d:server", seq)
 		server := &Conn{
 			net:  n,
 			loop: ln.loop,
-			src:  ln.loop.NewSource(fmt.Sprintf("conn%d:server", seq)),
-			name: fmt.Sprintf("conn%d:server", seq),
+			src:  ln.loop.NewSource(serverName),
+			name: serverName,
 		}
 		client.mu.Lock()
 		client.peer = server
