@@ -13,9 +13,12 @@
 package kvstore
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
+
+	"nodefz/internal/wire"
 )
 
 // Supported operations.
@@ -40,29 +43,81 @@ const (
 	OpPing    = "PING"
 )
 
-// request is the wire format client -> server.
+// request is one command, client -> server. On the wire (see
+// internal/wire): ID as a uvarint, Op as a string, then the argument count
+// and each argument as a string.
 type request struct {
-	ID   uint64   `json:"id"`
-	Op   string   `json:"op"`
-	Args []string `json:"args"`
+	ID   uint64
+	Op   string
+	Args []string
 }
 
-// response is the wire format server -> client.
+// response is one reply, server -> client: ID as a uvarint, Val as a
+// string, OK as a byte, Err as a string.
 type response struct {
-	ID  uint64 `json:"id"`
-	Val string `json:"val"`
-	OK  bool   `json:"ok"`
-	Err string `json:"err,omitempty"`
+	ID  uint64
+	Val string
+	OK  bool
+	Err string
 }
 
-func encode(v any) []byte {
-	b, err := json.Marshal(v)
-	if err != nil {
-		// The wire types marshal unconditionally; failure is a programming
-		// error.
-		panic(fmt.Sprintf("kvstore: marshal: %v", err))
+// encodeRequest appends req's encoding to b.
+func encodeRequest(b []byte, req *request) []byte {
+	b = binary.AppendUvarint(b, req.ID)
+	b = wire.AppendString(b, req.Op)
+	b = binary.AppendUvarint(b, uint64(len(req.Args)))
+	for _, a := range req.Args {
+		b = wire.AppendString(b, a)
 	}
 	return b
+}
+
+// decodeRequest decodes one request. On a malformed one it returns
+// wire.ErrMalformed and whatever ID it read, so the error reply can carry
+// it.
+func decodeRequest(data []byte) (request, error) {
+	r := wire.NewReader(data)
+	req := request{ID: r.Uvarint(), Op: r.String()}
+	if n := r.Count(1); n > 0 {
+		req.Args = make([]string, n)
+		for i := range req.Args {
+			req.Args[i] = r.String()
+		}
+	}
+	if r.Err() != nil || r.Len() != 0 {
+		return request{ID: req.ID}, wire.ErrMalformed
+	}
+	return req, nil
+}
+
+// encodeResponse appends resp's encoding to b.
+func encodeResponse(b []byte, resp *response) []byte {
+	b = binary.AppendUvarint(b, resp.ID)
+	b = wire.AppendString(b, resp.Val)
+	b = wire.AppendBool(b, resp.OK)
+	return wire.AppendString(b, resp.Err)
+}
+
+// decodeResponse decodes one reply.
+func decodeResponse(data []byte) (response, error) {
+	r := wire.NewReader(data)
+	resp := response{ID: r.Uvarint(), Val: r.String(), OK: r.Bool(), Err: r.String()}
+	if r.Err() != nil || r.Len() != 0 {
+		return response{}, wire.ErrMalformed
+	}
+	return resp, nil
+}
+
+// encodeValue renders an HGETALL or LRANGE reply value as JSON, the
+// Reply.Val form DecodeMap and DecodeList read.
+func encodeValue(v any) string {
+	b, err := json.Marshal(v)
+	if err != nil {
+		// Maps and slices of strings marshal unconditionally; failure is a
+		// programming error.
+		panic(fmt.Sprintf("kvstore: marshal: %v", err))
+	}
+	return string(b)
 }
 
 // Reply is the client-visible outcome of a command.
