@@ -375,8 +375,8 @@ func BenchmarkLoopTimersInstrumented(b *testing.B) {
 // the wall clock and under the virtual clock. The wall run pays real time
 // for network latency, injected delays, and detector timers; the virtual
 // run jumps straight to each deadline. The ratio between the two ns/op IS
-// the campaign speedup from -virtual-time. The virtual arm runs the way the
-// campaign actually runs virtual-time trials: one trial arena per worker,
+// the speedup campaigns get from running on virtual time only. The virtual
+// arm runs the way a campaign runs its trials: one trial arena per worker,
 // reset between trials, rather than rebuilding the loop/pool/clock world
 // from scratch every seed.
 func BenchmarkTrialVirtualVsWall(b *testing.B) {
@@ -560,7 +560,6 @@ func BenchmarkFleetSlice(b *testing.B) {
 		GlobalTrials: 1 << 30, // never the limiting factor
 		SliceTrials:  5,
 		BaseSeed:     1,
-		VirtualTime:  true,
 		Oracle:       true,
 		Coverage:     true,
 	})

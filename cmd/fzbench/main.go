@@ -39,7 +39,7 @@ func main() {
 		vtime    = flag.Bool("virtual-time", false, "run each trial on a virtual clock (simulated time, CPU-bound)")
 	)
 	flag.Parse()
-	bugs.SetVirtualTime(*vtime)
+	harness.SetVirtualTime(*vtime)
 
 	w := os.Stdout
 	run := func(name string, fn func()) {

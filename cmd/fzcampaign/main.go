@@ -3,7 +3,9 @@
 // UCB1 bandit steers the Table-3 parameterization of each trial by
 // schedule-novelty reward, manifesting trials are delta-debugged down to a
 // minimal perturbation set, and the whole campaign checkpoints to a JSONL
-// journal it can resume from after a kill.
+// journal it can resume from after a kill. Every trial runs on its own
+// virtual clock, so a campaign is bounded by CPU and deterministic per seed
+// with one worker.
 //
 // Usage:
 //
@@ -14,7 +16,7 @@
 //	fzcampaign -app SIO -trials 200 -checkpoint c.jsonl -resume
 //	fzcampaign -app MGS -trials 50 -metrics m.jsonl   # per-trial metrics stream
 //	fzcampaign -app MGS -trials 200 -oracle -oracle-out viol.jsonl
-//	fzcampaign -app SIO -trials 500 -coverage -virtual-time   # greybox: interleaving-coverage feedback
+//	fzcampaign -app SIO -trials 500 -coverage         # greybox: interleaving-coverage feedback
 package main
 
 import (
@@ -49,7 +51,6 @@ func main() {
 		resume     = flag.Bool("resume", false, "resume from -checkpoint instead of starting fresh")
 		metOut     = flag.String("metrics", "", "append one JSONL metrics snapshot per trial to FILE")
 		quiet      = flag.Bool("q", false, "suppress per-trial progress lines")
-		vtime      = flag.Bool("virtual-time", false, "run each trial on a virtual clock (simulated time, CPU-bound)")
 		orc        = flag.Bool("oracle", false, "attach the happens-before oracle to each trial (violation counts journaled, reward signal)")
 		orcOut     = flag.String("oracle-out", "", "write oracle violation JSONL to FILE (implies -oracle)")
 		coverage   = flag.Bool("coverage", false, "interleaving-coverage feedback: coverage-based corpus admission and bandit reward (implies -oracle)")
@@ -59,10 +60,7 @@ func main() {
 	flag.Parse()
 
 	stopProf, err := profiling.Start(*cpuProf, *memProf)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
+	exitOn(err)
 	defer stopProf()
 
 	if *list {
@@ -85,10 +83,7 @@ func main() {
 	var metW *metrics.JSONLWriter
 	if *metOut != "" {
 		f, err := os.Create(*metOut)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+		exitOn(err)
 		defer f.Close()
 		// Buffered: at arena trial rates one syscall per record is real
 		// cost. The campaign flushes at every checkpoint and at Finish.
@@ -99,10 +94,7 @@ func main() {
 	if *orcOut != "" {
 		*orc = true
 		f, err := os.Create(*orcOut)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+		exitOn(err)
 		defer f.Close()
 		repW = oracle.NewReportWriter(f)
 	}
@@ -122,7 +114,6 @@ func main() {
 		CheckpointPath:   *checkpoint,
 		Resume:           *resume,
 		Metrics:          metW,
-		VirtualTime:      *vtime,
 		Oracle:           *orc,
 		OracleOut:        repW,
 		Coverage:         *coverage,
@@ -151,10 +142,7 @@ func main() {
 	start := time.Now()
 	res, err := campaign.Run(cfg)
 	stopProf() // flush profiles before any of the explicit exit paths below
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
+	exitOn(err)
 	elapsed := time.Since(start)
 
 	fmt.Printf("\ncampaign %s%s: %d/%d trials done in %v (%d resumed, %d stopped by budget)\n",
@@ -192,17 +180,11 @@ func main() {
 
 	fmt.Printf("watermark %d/%d\n", res.Watermark, res.Trials)
 	if repW != nil {
-		if err := repW.Err(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+		exitOn(repW.Err())
 		fmt.Printf("%d oracle violation line(s) written to %s\n", repW.Count(), *orcOut)
 	}
 	if metW != nil {
-		if err := metW.Err(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+		exitOn(metW.Err())
 		fmt.Printf("%d metrics snapshot(s) written to %s\n", metW.Count(), *metOut)
 	}
 	if res.Done < res.Trials {
@@ -217,4 +199,12 @@ func variant(fixed bool) string {
 		return " (fixed)"
 	}
 	return " (buggy)"
+}
+
+// exitOn reports err and exits 1 when err is non-nil.
+func exitOn(err error) {
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
 }

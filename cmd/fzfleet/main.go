@@ -13,9 +13,9 @@
 // Usage:
 //
 //	fzfleet -list                                      # show the corpus
-//	fzfleet -trials 3600 -virtual-time                 # whole corpus, one budget
+//	fzfleet -trials 3600                               # whole corpus, one budget
 //	fzfleet -apps SIO,KUE,MGS -trials 300 -slice 10
-//	fzfleet -trials 3600 -dir fleet/ -virtual-time -oracle -coverage
+//	fzfleet -trials 3600 -dir fleet/ -oracle -coverage
 //	fzfleet -trials 3600 -dir fleet/ -resume           # continue after a kill
 //	fzfleet -trials 1000 -policy round-robin           # uniform baseline
 //	fzfleet -trials 3600 -dashboard - -dashboard-every 16
@@ -49,7 +49,6 @@ func main() {
 		decay     = flag.Float64("decay", fleet.DefaultDecay, "yield EMA keep-fraction (decaying window)")
 		discount  = flag.Float64("manifest-discount", fleet.DefaultManifestDiscount, "yield factor for campaigns whose bug already manifested")
 		fixed     = flag.Bool("fixed", false, "run the patched variants")
-		vtime     = flag.Bool("virtual-time", false, "run each trial on a virtual clock (simulated time, CPU-bound)")
 		orc       = flag.Bool("oracle", false, "attach the happens-before oracle to every trial")
 		orcOut    = flag.String("oracle-out", "", "write oracle violation JSONL to FILE (implies -oracle)")
 		coverage  = flag.Bool("coverage", false, "interleaving-coverage feedback in every campaign (implies -oracle)")
@@ -67,10 +66,7 @@ func main() {
 	flag.Parse()
 
 	stopProf, err := profiling.Start(*cpuProf, *memProf)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
+	exitOn(err)
 	defer stopProf()
 
 	if *list {
@@ -105,10 +101,7 @@ func main() {
 	var metW *metrics.JSONLWriter
 	if *metOut != "" {
 		f, err := os.Create(*metOut)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+		exitOn(err)
 		defer f.Close()
 		// Buffered: every child campaign flushes at its checkpoints and
 		// at Finish, so a kill loses at most what the journals also lost.
@@ -118,10 +111,7 @@ func main() {
 	if *orcOut != "" {
 		*orc = true
 		f, err := os.Create(*orcOut)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+		exitOn(err)
 		defer f.Close()
 		repW = oracle.NewReportWriter(f)
 	}
@@ -130,20 +120,14 @@ func main() {
 		dashW = os.Stdout
 	} else if *dash != "" {
 		f, err := os.Create(*dash)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+		exitOn(err)
 		defer f.Close()
 		dashW = f
 	}
 	var dashJW *metrics.FleetStatusWriter
 	if *dashJSONL != "" {
 		f, err := os.Create(*dashJSONL)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+		exitOn(err)
 		defer f.Close()
 		dashJW = metrics.NewFleetStatusWriter(f)
 	}
@@ -159,7 +143,6 @@ func main() {
 		Epsilon:          *epsilon,
 		Decay:            *decay,
 		ManifestDiscount: *discount,
-		VirtualTime:      *vtime,
 		Oracle:           *orc,
 		Coverage:         *coverage,
 		Dir:              *dir,
@@ -190,10 +173,7 @@ func main() {
 	start := time.Now()
 	res, err := fleet.Run(cfg)
 	stopProf() // flush profiles before any of the explicit exit paths below
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
+	exitOn(err)
 	elapsed := time.Since(start)
 
 	fmt.Printf("\nfleet: %d slices, %d/%d trials assigned in %v (policy %s, slice %d, seed %d)\n",
@@ -208,14 +188,27 @@ func main() {
 	}
 	fmt.Printf("\nassigned %d/%d\n", res.Assigned, res.Budget)
 	if repW != nil {
+		exitOn(repW.Err())
 		fmt.Printf("%d oracle violation line(s) written to %s\n", repW.Count(), *orcOut)
 	}
 	if metW != nil {
+		exitOn(metW.Err())
 		fmt.Printf("%d metrics snapshot(s) written to %s\n", metW.Count(), *metOut)
+	}
+	if dashJW != nil {
+		exitOn(dashJW.Err())
 	}
 	if res.Assigned < res.Budget {
 		// The fleet paused (MaxSlices) or every campaign hit its cap before
 		// the budget; the journal directory makes the run resumable.
 		os.Exit(3)
+	}
+}
+
+// exitOn reports err and exits 1 when err is non-nil.
+func exitOn(err error) {
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
 }

@@ -28,6 +28,7 @@ import (
 	"nodefz/internal/metrics"
 	"nodefz/internal/oracle"
 	"nodefz/internal/sched"
+	"nodefz/internal/vclock"
 )
 
 func main() {
@@ -48,7 +49,6 @@ func main() {
 		orcOut = flag.String("oracle-out", "", "write oracle violation JSONL to FILE (default stdout; implies -oracle)")
 	)
 	flag.Parse()
-	bugs.SetVirtualTime(*vtime)
 
 	if *list {
 		fmt.Printf("%-11s %-6s %-9s %-10s %s\n", "abbr", "race", "events", "issue", "name")
@@ -131,7 +131,10 @@ func main() {
 			recording = core.NewRecording(scheduler)
 			scheduler = recording
 		}
-		cfg := bugs.RunConfig{Seed: s, Scheduler: scheduler, Clock: bugs.TrialClock()}
+		cfg := bugs.RunConfig{Seed: s, Scheduler: scheduler}
+		if *vtime {
+			cfg.Clock = vclock.NewVirtual()
+		}
 		var tracker *oracle.Tracker
 		if *orc {
 			tracker = oracle.New()

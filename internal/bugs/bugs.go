@@ -19,7 +19,6 @@
 package bugs
 
 import (
-	"sync/atomic"
 	"time"
 
 	"nodefz/internal/eventloop"
@@ -66,29 +65,6 @@ type RunConfig struct {
 	// loop, network, and FS-noise binding from instead of building fresh
 	// ones (see Arena). Set by Arena.Begin; single-shot paths leave it nil.
 	Arena *Arena
-}
-
-// virtualTime is the process-wide default clock mode, set by the CLIs'
-// -virtual-time flag. Individual trials can always override it by setting
-// RunConfig.Clock explicitly.
-var virtualTime atomic.Bool
-
-// SetVirtualTime switches the process-wide default for new trials: when on,
-// TrialClock hands every trial a fresh virtual clock, so waits elapse in
-// simulated time and trials run at CPU speed.
-func SetVirtualTime(on bool) { virtualTime.Store(on) }
-
-// VirtualTimeEnabled reports the process-wide default set by SetVirtualTime.
-func VirtualTimeEnabled() bool { return virtualTime.Load() }
-
-// TrialClock returns the clock a new trial's RunConfig should carry: a fresh
-// virtual clock when virtual time is enabled (each trial needs its own — a
-// clock's participant accounting is per trial), nil (wall time) otherwise.
-func TrialClock() vclock.Clock {
-	if virtualTime.Load() {
-		return vclock.NewVirtual()
-	}
-	return nil
 }
 
 // NewLoop builds the event loop for a trial — or, when the trial runs in an

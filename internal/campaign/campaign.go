@@ -12,7 +12,6 @@ import (
 	"nodefz/internal/metrics"
 	"nodefz/internal/oracle"
 	"nodefz/internal/sched"
-	"nodefz/internal/vclock"
 )
 
 // Defaults for Config's zero values.
@@ -43,15 +42,12 @@ type Config struct {
 	BaseSeed int64
 	// Budget, when > 0, is the wall-clock budget: no new trial starts after
 	// it elapses (in-flight trials finish). A budget stop leaves the journal
-	// resumable. The budget is always wall time — it measures real cost —
-	// even when VirtualTime runs the trials themselves in simulated time.
+	// resumable. The budget is wall time — it measures real cost — while
+	// the trials themselves run in simulated time.
 	Budget time.Duration
 
-	// VirtualTime runs every trial (and minimization replay) on its own
-	// virtual clock: waits elapse in simulated time, so a campaign is bounded
-	// by CPU, not by the corpus's deliberately slow substrate latencies.
-	// Trial outcomes stay deterministic per seed; ElapsedMS in the journal
-	// still reports wall time.
+	// Deprecated: ignored. Every trial and minimization replay runs on its
+	// own virtual clock; the field remains for callers that still set it.
 	VirtualTime bool
 
 	// NoveltyThreshold is the corpus admission threshold (0 means
@@ -110,18 +106,6 @@ type Config struct {
 	// Progress, when non-nil, receives one line per executed trial; the CLI
 	// uses it for streaming output. Called concurrently.
 	Progress func(TrialEntry)
-}
-
-// trialClock picks a fresh per-trial clock: virtual when the campaign (or
-// the process-wide bugs.SetVirtualTime default) asks for it, nil otherwise.
-func trialClock(virtual bool) vclock.Clock {
-	if c := bugs.TrialClock(); c != nil {
-		return c
-	}
-	if virtual {
-		return vclock.NewVirtual()
-	}
-	return nil
 }
 
 func (c Config) withDefaults() Config {
@@ -255,17 +239,6 @@ func New(cfg Config) (*Campaign, error) {
 		}
 		run = cfg.App.RunFixed
 	}
-	if cfg.VirtualTime {
-		// Minimization replays build their own RunConfigs; this wrapper makes
-		// sure they, too, get a fresh virtual clock per execution.
-		inner := run
-		run = func(rc bugs.RunConfig) bugs.Outcome {
-			if rc.Clock == nil {
-				rc.Clock = vclock.NewVirtual()
-			}
-			return inner(rc)
-		}
-	}
 
 	c := &Campaign{
 		cfg:           cfg,
@@ -285,9 +258,10 @@ func New(cfg Config) (*Campaign, error) {
 		if err != nil {
 			return nil, err
 		}
-		// Re-admit the admitted schedules in trial-journal order first (the
-		// corpus state replays exactly), then mark every offered digest so
-		// previously rejected schedules stay duplicates.
+		// Restore the admitted schedules in trial-journal order first (the
+		// corpus state replays exactly, coverage admissions included), then
+		// mark every offered digest so previously rejected schedules stay
+		// duplicates.
 		replay := make([]TrialEntry, 0, len(st.Trials))
 		for _, e := range st.Trials {
 			replay = append(replay, e)
@@ -295,7 +269,7 @@ func New(cfg Config) (*Campaign, error) {
 		sort.Slice(replay, func(i, j int) bool { return replay[i].Trial < replay[j].Trial })
 		for _, e := range replay {
 			if e.Admitted {
-				c.corpus.Admit(e.Schedule)
+				c.corpus.Restore(e.Schedule)
 			}
 		}
 		for _, e := range replay {
@@ -431,11 +405,7 @@ func (c *Campaign) RunRange(from, to int) SliceReport {
 		ex := Executor{Workers: c.cfg.Workers}
 		worlds := c.acquireWorlds(ex.WorkerCount(len(pending)))
 		ex.RunIndexed(len(pending), func(wk, j int) {
-			var w *world
-			if worlds != nil {
-				w = worlds[wk]
-			}
-			st := c.runTrial(pending[j], w)
+			st := c.runTrial(pending[j], worlds[wk])
 			cmu.Lock()
 			switch st {
 			case trialRan:
@@ -474,16 +444,12 @@ func (c *Campaign) RunRange(from, to int) SliceReport {
 }
 
 // acquireWorlds returns the per-worker reusable trial worlds for a slice
-// using w workers, growing the campaign's pool on first need; nil for
-// wall-time trials, which build a fresh world every trial.
+// using w workers, growing the campaign's pool on first need.
 func (c *Campaign) acquireWorlds(w int) []*world {
-	if !(c.cfg.VirtualTime || bugs.VirtualTimeEnabled()) {
-		return nil
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for len(c.worlds) < w {
-		c.worlds = append(c.worlds, &world{})
+		c.worlds = append(c.worlds, &world{arena: bugs.NewArena(c.cfg.Metrics != nil)})
 	}
 	return c.worlds[:w]
 }
@@ -498,9 +464,8 @@ const (
 
 // runTrial executes one trial end to end: bandit select, scheduler build,
 // run, corpus admission, reward, journal, metrics, optional minimization.
-// w, when non-nil, is the calling worker's reusable world: the trial resets
-// and reuses its machinery instead of building fresh; nil (wall time)
-// keeps the historical build-everything path.
+// w is the calling worker's reusable world: the trial resets and reuses its
+// machinery, building it only on the worker's first trial.
 func (c *Campaign) runTrial(i int, w *world) trialStatus {
 	cfg := c.cfg
 	if !c.deadline.IsZero() && time.Now().After(c.deadline) {
@@ -512,54 +477,28 @@ func (c *Campaign) runTrial(i int, w *world) trialStatus {
 
 	seed := TrialSeed(cfg.BaseSeed, i)
 	arm := c.bandit.Select()
-	var (
-		recording *core.RecordingScheduler
-		rec       *sched.Recorder
-		tracker   *oracle.Tracker
-		reg       *metrics.Registry
-		runCfg    bugs.RunConfig
-	)
-	if w != nil {
-		if w.inner == nil {
-			w.inner = core.NewScheduler(cfg.Arms[arm].Params, seed)
-			w.recording = core.NewRecording(w.inner)
-			w.rec = sched.NewRecorder()
-			if cfg.Oracle {
-				w.tracker = oracle.New()
-			}
-			if w.arena == nil {
-				w.arena = bugs.NewArena(cfg.Metrics != nil)
-			}
-		} else {
-			w.inner.Reseed(cfg.Arms[arm].Params, seed)
-			w.recording.Reset()
-			w.rec.Reset()
-			if w.tracker != nil {
-				w.tracker.Reset()
-			}
-		}
-		recording, rec, tracker = w.recording, w.rec, w.tracker
-		rc := bugs.RunConfig{Seed: seed, Scheduler: recording, Recorder: rec, Oracle: tracker}
-		if cfg.Metrics != nil {
-			rc.LagProbeEvery = 2 * time.Millisecond
-		}
-		runCfg = w.arena.Begin(rc)
-		reg = w.arena.Registry()
-	} else {
-		inner := core.NewScheduler(cfg.Arms[arm].Params, seed)
-		recording = core.NewRecording(inner)
-		rec = sched.NewRecorder()
-		runCfg = bugs.RunConfig{Seed: seed, Scheduler: recording, Recorder: rec, Clock: trialClock(cfg.VirtualTime)}
+	if w.inner == nil {
+		w.inner = core.NewScheduler(cfg.Arms[arm].Params, seed)
+		w.recording = core.NewRecording(w.inner)
+		w.rec = sched.NewRecorder()
 		if cfg.Oracle {
-			tracker = oracle.New()
-			runCfg.Oracle = tracker
+			w.tracker = oracle.New()
 		}
-		if cfg.Metrics != nil {
-			reg = metrics.NewRegistry()
-			runCfg.Metrics = reg
-			runCfg.LagProbeEvery = 2 * time.Millisecond
+	} else {
+		w.inner.Reseed(cfg.Arms[arm].Params, seed)
+		w.recording.Reset()
+		w.rec.Reset()
+		if w.tracker != nil {
+			w.tracker.Reset()
 		}
 	}
+	recording, rec, tracker := w.recording, w.rec, w.tracker
+	rc := bugs.RunConfig{Seed: seed, Scheduler: recording, Recorder: rec, Oracle: tracker}
+	if cfg.Metrics != nil {
+		rc.LagProbeEvery = 2 * time.Millisecond
+	}
+	runCfg := w.arena.Begin(rc)
+	reg := w.arena.Registry()
 
 	start := time.Now()
 	out, trialErr := runSafely(c.run, runCfg)
@@ -569,13 +508,11 @@ func (c *Campaign) runTrial(i int, w *world) trialStatus {
 		// provisional pull Select counted (otherwise the arm's mean is
 		// permanently deflated by a pull that never earned reward) and
 		// journal nothing, so resume re-runs the trial. A panicked trial
-		// also leaves a reusable world in an unknown state, so the arena
+		// also leaves the worker's world in an unknown state, so the arena
 		// and its collaborators are discarded; the worker's next trial
 		// rebuilds from scratch.
-		if w != nil {
-			w.arena.Discard()
-			w.inner, w.recording, w.rec, w.tracker = nil, nil, nil, nil
-		}
+		w.arena.Discard()
+		w.inner, w.recording, w.rec, w.tracker = nil, nil, nil, nil
 		c.bandit.Release(arm)
 		c.mu.Lock()
 		c.res.Errored++
@@ -785,9 +722,7 @@ func (c *Campaign) Finish() (*Result, error) {
 	c.writeCheckpoint()
 	c.mu.Lock()
 	for _, w := range c.worlds {
-		if w.arena != nil {
-			w.arena.Release()
-		}
+		w.arena.Release()
 	}
 	c.worlds = nil
 	c.mu.Unlock()

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -276,7 +277,7 @@ func TestCampaignCoverageResumeRoundTrip(t *testing.T) {
 	}
 	path := filepath.Join(t.TempDir(), "ckpt.jsonl")
 	cfg := Config{App: app, Trials: 8, Workers: 2, BaseSeed: 11,
-		VirtualTime: true, Coverage: true, CheckpointPath: path, MinimizeTrials: -1}
+		Coverage: true, CheckpointPath: path, MinimizeTrials: -1}
 	r1, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -322,7 +323,7 @@ func TestCoverageResumeAfterKillMatchesStraight(t *testing.T) {
 	}
 	dir := t.TempDir()
 	cfg := Config{App: app, Trials: 40, Workers: 1, BaseSeed: 31,
-		VirtualTime: true, Coverage: true, MinimizeTrials: -1,
+		Coverage: true, MinimizeTrials: -1,
 		CheckpointPath: filepath.Join(dir, "straight.jsonl")}
 	straight, err := Run(cfg)
 	if err != nil {
@@ -393,7 +394,7 @@ func TestCampaignResumePreCoverageJournal(t *testing.T) {
 		t.Fatal("SIO missing from corpus")
 	}
 	res, err := Run(Config{App: app, Trials: len(st.Trials) + 8, Workers: 2,
-		BaseSeed: 11, VirtualTime: true, Coverage: true,
+		BaseSeed: 11, Coverage: true,
 		CheckpointPath: path, Resume: true, MinimizeTrials: -1})
 	if err != nil {
 		t.Fatalf("resume from pre-coverage journal with coverage on: %v", err)
@@ -420,17 +421,21 @@ func TestCampaignConfigErrors(t *testing.T) {
 	}
 }
 
-// TestCampaignParallelThroughput is the acceptance benchmark: on a
-// multi-core runner, workers=4 must at least double trial throughput over
-// workers=1 for a real Table-2 bug app. Trials are sleep-bound (substrate
-// latencies), so the speedup is robust even under CPU contention.
+// TestCampaignParallelThroughput is the executor's acceptance check:
+// workers=4 must at least double trial throughput over workers=1. Each
+// trial of the fake app sleeps for a fixed wall time, so the check measures
+// the executor's parallelism rather than the host's core count (virtual
+// corpus trials are CPU-bound).
 func TestCampaignParallelThroughput(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing benchmark; skipped in -short")
 	}
-	app := bugs.ByAbbr("SIO")
-	if app == nil {
-		t.Fatal("SIO missing from corpus")
+	app := &bugs.App{
+		Abbr: "SLEEP",
+		Run: func(cfg bugs.RunConfig) bugs.Outcome {
+			time.Sleep(20 * time.Millisecond)
+			return bugs.Outcome{}
+		},
 	}
 	const trials = 16
 	elapsed := func(workers int) time.Duration {
@@ -457,12 +462,71 @@ func TestCampaignFinishReleasesArenas(t *testing.T) {
 	for _, abbr := range []string{"SIO", "REP-elect"} {
 		before := bugs.LiveArenas()
 		_, err := Run(Config{App: bugs.ByAbbr(abbr), Trials: 6, Workers: 2, BaseSeed: 3,
-			VirtualTime: true, Coverage: true, MinimizeTrials: -1})
+			Coverage: true, MinimizeTrials: -1})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if after := bugs.LiveArenas(); after != before {
 			t.Fatalf("%s: arena registry holds %d worlds after Run, %d before", abbr, after, before)
+		}
+	}
+}
+
+// TestResumeRestoresCoverageAdmissions: a schedule that entered the corpus
+// on coverage alone, below the novelty threshold, must still be in the
+// corpus after a resume. Otherwise every later novelty score, and so every
+// later admission, differs from the uninterrupted campaign's.
+func TestResumeRestoresCoverageAdmissions(t *testing.T) {
+	app := bugs.ByAbbr("KUE")
+	if app == nil {
+		t.Fatal("KUE missing from corpus")
+	}
+	dir := t.TempDir()
+	// The seed a 3-app fleet with seed 7 gives its KUE campaign; its trial
+	// 44 is admitted by coverage at novelty 0.125.
+	cfg := Config{App: app, Trials: 60, Workers: 1, BaseSeed: TrialSeed(7^0x666c656574, 1),
+		Coverage: true, MinimizeTrials: -1, CheckpointPath: filepath.Join(dir, "straight.jsonl")}
+	straight, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := LoadJournal(cfg.CheckpointPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const cut = 45
+	coverageOnly := false
+	for _, e := range st.Trials {
+		if e.Trial < cut && e.Trial > 0 && e.Admitted && e.Novelty <= DefaultNoveltyThreshold {
+			coverageOnly = true
+		}
+	}
+	if !coverageOnly {
+		t.Fatalf("fixture: no coverage-only admission before trial %d; pick another seed", cut)
+	}
+
+	cfg.CheckpointPath = filepath.Join(dir, "resumed.jsonl")
+	cfg.Trials = cut
+	if _, err := Run(cfg); err != nil {
+		t.Fatal(err)
+	}
+	cfg.Trials, cfg.Resume = 60, true
+	resumed, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resumed.CorpusLen != straight.CorpusLen {
+		t.Fatalf("corpus after resume %d, straight through %d", resumed.CorpusLen, straight.CorpusLen)
+	}
+	rt, err := LoadJournal(cfg.CheckpointPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range st.Trials {
+		got := rt.Trials[i]
+		got.ElapsedMS, want.ElapsedMS = 0, 0
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d after resume:\n got %+v\nwant %+v", i, got, want)
 		}
 	}
 }

@@ -269,6 +269,20 @@ func (c *Corpus) Admit(types []string) Admission {
 // schedule — but a duplicate is never (re-)admitted: the corpus stores only
 // the type schedule, so admitting it again would add nothing.
 func (c *Corpus) AdmitWithCoverage(types []string, cov *oracle.CoverageDigest) Admission {
+	return c.admit(types, cov, false)
+}
+
+// Restore re-admits a schedule a journal records as admitted, without the
+// novelty test: the original admission may have been earned by coverage,
+// which the resume path replays through SeedCoverage, not through
+// admission. Capacity displacement applies as on the live path, so
+// restoring a journal's admissions in the order they were made rebuilds
+// the corpus exactly.
+func (c *Corpus) Restore(types []string) { c.admit(types, nil, true) }
+
+// admit is AdmitWithCoverage; force admits a non-duplicate regardless of
+// novelty and coverage.
+func (c *Corpus) admit(types []string, cov *oracle.CoverageDigest, force bool) Admission {
 	types = sched.Truncate(types, c.truncate)
 	d := sched.Digest(types)
 
@@ -288,7 +302,7 @@ func (c *Corpus) AdmitWithCoverage(types []string, cov *oracle.CoverageDigest) A
 	novelty, nearest := c.nearest(c.candScratch)
 	adm.Novelty = novelty
 	adm.CoverageAdmitted = len(adm.NewPairs) > 0 || adm.NewHB
-	if len(c.entries) > 0 && novelty <= c.threshold && !adm.CoverageAdmitted {
+	if len(c.entries) > 0 && novelty <= c.threshold && !adm.CoverageAdmitted && !force {
 		return adm
 	}
 	if len(c.entries) >= c.capacity {

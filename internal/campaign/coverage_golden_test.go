@@ -34,7 +34,7 @@ func TestCoverageJournalGolden(t *testing.T) {
 		}
 		path := filepath.Join(t.TempDir(), abbr+".jsonl")
 		if _, err := Run(Config{App: app, Trials: 60, Workers: 1, BaseSeed: 20171,
-			VirtualTime: true, Coverage: true, CheckpointPath: path, MinimizeTrials: -1}); err != nil {
+			Coverage: true, CheckpointPath: path, MinimizeTrials: -1}); err != nil {
 			t.Fatal(err)
 		}
 		f, err := os.Open(path)

@@ -6,6 +6,7 @@ import (
 	"nodefz/internal/bugs"
 	"nodefz/internal/core"
 	"nodefz/internal/eventloop"
+	"nodefz/internal/vclock"
 )
 
 // PerturbPoint names one perturbing decision inside a recorded trace: the
@@ -109,8 +110,9 @@ func neutralized(t *core.Trace, keep map[PerturbPoint]bool) *core.Trace {
 //
 // Replays run with core.NewReplay over the no-fuzz scheduler, so decisions
 // beyond the trace fall back to vanilla-equivalent behaviour instead of
-// fresh randomness. seed is the manifesting trial's seed (the substrates
-// draw their latencies from it). Because replay fidelity is best-effort,
+// fresh randomness. Each replay runs on a fresh virtual clock, as campaign
+// trials do. seed is the manifesting trial's seed (the substrates draw
+// their latencies from it). Because replay fidelity is best-effort,
 // each probe is a single execution and the result is a *small* manifesting
 // set, not a proven-minimal one.
 func MinimizeTrace(run func(bugs.RunConfig) bugs.Outcome, seed int64, trace *core.Trace, maxReplays int) MinimizeResult {
@@ -130,7 +132,7 @@ func MinimizeTrace(run func(bugs.RunConfig) bugs.Outcome, seed int64, trace *cor
 			keep[p] = true
 		}
 		s := core.NewReplay(neutralized(trace, keep), core.NewNoFuzzScheduler())
-		out := run(bugs.RunConfig{Seed: seed, Scheduler: eventloop.Scheduler(s), Clock: bugs.TrialClock()})
+		out := run(bugs.RunConfig{Seed: seed, Scheduler: eventloop.Scheduler(s), Clock: vclock.NewVirtual()})
 		return out.Manifested
 	}
 

@@ -46,7 +46,7 @@ func Explore(app *bugs.App, seed int64, maxPoints, maxRuns int) ExploreResult {
 
 	tryVector := func(vec []int) (*core.SystematicScheduler, bugs.Outcome) {
 		s := core.NewSystematic(vec)
-		out := app.Run(bugs.RunConfig{Seed: seed, Scheduler: eventloop.Scheduler(s), Clock: bugs.TrialClock()})
+		out := app.Run(bugs.RunConfig{Seed: seed, Scheduler: eventloop.Scheduler(s), Clock: trialClock()})
 		res.Runs++
 		return s, out
 	}

@@ -6,9 +6,11 @@ package harness
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"nodefz/internal/core"
 	"nodefz/internal/eventloop"
+	"nodefz/internal/vclock"
 )
 
 // Mode selects the runtime configuration of §5.1: vanilla Node
@@ -47,6 +49,25 @@ func ParseMode(s string) (Mode, error) {
 		}
 	}
 	return 0, fmt.Errorf("harness: unknown mode %q", s)
+}
+
+// virtualTime is the clock mode of the evaluation drivers, set by the
+// fzbench -virtual-time flag.
+var virtualTime atomic.Bool
+
+// SetVirtualTime switches every trial the harness runs onto a fresh
+// virtual clock, so waits elapse in simulated time and trials run at CPU
+// speed. Off (the default) keeps the paper's wall-time measurements.
+func SetVirtualTime(on bool) { virtualTime.Store(on) }
+
+// trialClock returns the clock a new trial's RunConfig should carry: a
+// fresh virtual clock when virtual time is on (a clock's participant
+// accounting is per trial), nil (wall time) otherwise.
+func trialClock() vclock.Clock {
+	if virtualTime.Load() {
+		return vclock.NewVirtual()
+	}
+	return nil
 }
 
 // Fig6Modes are the three configurations compared throughout §5.1.

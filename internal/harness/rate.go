@@ -103,7 +103,7 @@ func measureWorkers(run func(bugs.RunConfig) bugs.Outcome, mkSched func(seed int
 	campaign.Executor{Workers: workers}.Run(trials, func(i int) {
 		seed := baseSeed + int64(i)
 		s := mkSched(seed)
-		cfg := bugs.RunConfig{Seed: seed, Scheduler: s, Clock: bugs.TrialClock()}
+		cfg := bugs.RunConfig{Seed: seed, Scheduler: s, Clock: trialClock()}
 		var reg *metrics.Registry
 		var rec *sched.Recorder
 		if meta.obs != nil {

@@ -23,13 +23,13 @@ func runSuite(abbr string, mode Mode, seed int64, rec *sched.Recorder) (time.Dur
 	}
 	start := time.Now()
 	s1 := SchedulerFor(mode, seed)
-	cfg := bugs.RunConfig{Seed: seed, Scheduler: s1, Clock: bugs.TrialClock()}
+	cfg := bugs.RunConfig{Seed: seed, Scheduler: s1, Clock: trialClock()}
 	if rec != nil {
 		cfg.Recorder = rec
 	}
 	app.Run(cfg)
 	s2 := SchedulerFor(mode, seed+1)
-	cfg2 := bugs.RunConfig{Seed: seed + 1, Scheduler: s2, Clock: bugs.TrialClock()}
+	cfg2 := bugs.RunConfig{Seed: seed + 1, Scheduler: s2, Clock: trialClock()}
 	if rec != nil {
 		cfg2.Recorder = rec
 	}
