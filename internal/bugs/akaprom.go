@@ -167,7 +167,7 @@ func akaPromRun(cfg RunConfig, fixed bool) Outcome {
 		})
 	}
 
-	AddFSNoise(l, cfg.Seed, 1200*time.Microsecond, 20*time.Millisecond)
+	cfg.AddFSNoise(l, cfg.Seed, 1200*time.Microsecond, 20*time.Millisecond)
 	AddTimerNoise(l, 1500*time.Microsecond, 30*time.Millisecond)
 	if err := l.Run(); err != nil {
 		return Outcome{Note: "run: " + err.Error()}

@@ -1,7 +1,6 @@
 package bugs
 
 import (
-	"sync"
 	"time"
 
 	"nodefz/internal/eventloop"
@@ -15,13 +14,13 @@ import (
 )
 
 // Arena is a reusable per-trial world: one virtual clock, one event loop
-// (with its worker pool), one network, and optionally one metrics registry,
-// built on the first trial and *reset in place* between trials instead of
-// being torn down and rebuilt. Constructing a trial world dominates
-// short-trial cost — timer churn, registry instruments, RNG state, and the
-// goroutine plumbing all allocate — so a campaign worker that pins one
-// arena and resets it turns per-trial setup into a handful of truncations
-// and reseeds.
+// (with its worker pool), one network, the node loops of a cluster trial,
+// and optionally one metrics registry, built on the first trial and *reset
+// in place* between trials instead of being torn down and rebuilt.
+// Constructing a trial world dominates short-trial cost — timer churn,
+// registry instruments, RNG state, and the goroutine plumbing all allocate
+// — so a campaign worker that pins one arena and resets it turns per-trial
+// setup into a handful of truncations and reseeds.
 //
 // The contract is bit-identical behavior: a trial run through an arena must
 // produce exactly the trace, oracle reports, and coverage digest the same
@@ -37,6 +36,9 @@ import (
 //     the virtual run order is identical;
 //   - role identifiers are reused, never re-numbered mid-queue, so grant
 //     matching is invariant.
+//
+// The arena is reached only through the RunConfig Begin returns; the
+// package holds no arena state of its own.
 //
 // An Arena is virtual-time only (resetting wall time is not a thing) and
 // single-threaded: one trial at a time, Begin before each. The campaign
@@ -64,13 +66,13 @@ type Arena struct {
 	netUsed   bool
 	noiseUsed bool
 
-	// multiLoop is set (sticky) the first time a trial builds a cluster
-	// node loop (RunConfig.NewNodeLoop): a multi-node trial runs several
-	// loops on one clock and may abandon some mid-trial (node kill), so the
-	// world cannot be reset in place. Every later Begin discards and
-	// rebuilds instead — correctness first, arena speed only where it is
-	// sound.
-	multiLoop bool
+	// Cluster node loops (RunConfig.NewNodeLoop): a trial's k-th node loop
+	// is nodes[k], so a restarted node takes the next one. They are
+	// quiescent between trials — the trial's cluster.Join waited for their
+	// runners — and a new one is built only when a trial needs more than
+	// any earlier trial did.
+	nodes    []*eventloop.Loop
+	nodeNext int
 
 	// FS-noise cache: AddFSNoise's private filesystem and its jittered
 	// async binding, reset and reseeded per trial (a fresh Bind allocates a
@@ -102,9 +104,6 @@ func (a *Arena) Registry() *metrics.Registry { return a.reg }
 // for the new trial; Begin resets everything the arena owns. The previous
 // trial must be fully over — its App.Run returned.
 func (a *Arena) Begin(cfg RunConfig) RunConfig {
-	if a.multiLoop {
-		a.Discard()
-	}
 	if a.loop != nil &&
 		(cfg.Scheduler != a.sched || cfg.Recorder != a.rec || cfg.Oracle != a.probe) {
 		a.Discard()
@@ -128,6 +127,7 @@ func (a *Arena) Begin(cfg RunConfig) RunConfig {
 	a.cfg.Metrics = a.reg
 	a.cfg.Arena = a
 	a.loopUsed, a.netUsed, a.noiseUsed = false, false, false
+	a.nodeNext = 0
 	return a.cfg
 }
 
@@ -136,9 +136,9 @@ func (a *Arena) Begin(cfg RunConfig) RunConfig {
 // unknown state. Goroutines the dead world leaked stay parked on the old
 // clock, exactly as a panicked fresh-world trial leaks them.
 func (a *Arena) Discard() {
-	unregisterArena(a.loop)
 	a.loop = nil
 	a.net = nil
+	a.nodes = nil
 	a.noiseFS = nil
 	a.noiseFSA = nil
 	a.sched, a.rec, a.probe = nil, nil, nil
@@ -149,18 +149,14 @@ func (a *Arena) Discard() {
 }
 
 // Release ends the arena's use: it closes what the last trial left running,
-// as Begin does before a reset, and drops the world, unregistering it so
-// nothing package-global keeps the world reachable. A later Begin builds a
+// as Begin does before a reset, and drops the world. A later Begin builds a
 // fresh world. Campaign.Finish releases every worker's arena.
 func (a *Arena) Release() {
-	if !a.multiLoop && a.net != nil {
+	if a.net != nil {
 		a.net.Close()
 	}
 	a.Discard()
 }
-
-// noteMultiLoop marks the arena's current trial multi-loop; see the field.
-func (a *Arena) noteMultiLoop() { a.multiLoop = true }
 
 // acquireLoop hands the trial the arena's resident loop, building it on
 // first use; nil when this trial already claimed it (the caller then builds
@@ -175,7 +171,6 @@ func (a *Arena) acquireLoop(cfg RunConfig) *eventloop.Loop {
 		fresh := cfg
 		fresh.Arena = nil
 		a.loop = fresh.NewLoop()
-		registerArena(a.loop, a)
 		return a.loop
 	}
 	// Reuse: re-stamp the recorder with the (rewound) trial clock, respawn
@@ -190,6 +185,23 @@ func (a *Arena) acquireLoop(cfg RunConfig) *eventloop.Loop {
 		a.loop.AtExit(func() { m.Snapshot().FoldInto(a.reg) })
 	}
 	return a.loop
+}
+
+// acquireNode hands the trial its next cluster node loop. A resident one is
+// re-armed the way eventloop.New arms a fresh one: its clock registration
+// first, then the pool's spawn grants, so the virtual run order matches a
+// freshly built world. cfg is the node's config (no arena, no metrics).
+func (a *Arena) acquireNode(cfg RunConfig) *eventloop.Loop {
+	if a.nodeNext == len(a.nodes) {
+		a.nodes = append(a.nodes, cfg.NewLoop())
+	} else {
+		l := a.nodes[a.nodeNext]
+		l.Reset()
+		l.Clock().Register()
+		l.RestartPool()
+	}
+	a.nodeNext++
+	return a.nodes[a.nodeNext-1]
 }
 
 // acquireNet hands the trial the arena's resident network, building it on
@@ -223,46 +235,4 @@ func (a *Arena) acquireNoise(l *eventloop.Loop, latency time.Duration, seed int6
 		a.noiseFSA.Reseed(seed)
 	}
 	return a.noiseFSA
-}
-
-// arenas maps a resident loop to its arena so loop-keyed helpers
-// (AddFSNoise) can find the arena's caches without threading it through
-// every signature. Entries live as long as the arena's world does: Discard
-// and Release remove them.
-var (
-	arenaMu sync.Mutex
-	arenas  map[*eventloop.Loop]*Arena
-)
-
-func registerArena(l *eventloop.Loop, a *Arena) {
-	arenaMu.Lock()
-	if arenas == nil {
-		arenas = make(map[*eventloop.Loop]*Arena)
-	}
-	arenas[l] = a
-	arenaMu.Unlock()
-}
-
-func unregisterArena(l *eventloop.Loop) {
-	if l == nil {
-		return
-	}
-	arenaMu.Lock()
-	delete(arenas, l)
-	arenaMu.Unlock()
-}
-
-func arenaOf(l *eventloop.Loop) *Arena {
-	arenaMu.Lock()
-	a := arenas[l]
-	arenaMu.Unlock()
-	return a
-}
-
-// LiveArenas reports how many arena worlds the registry holds. Leak checks
-// assert that it returns to its baseline once a campaign has finished.
-func LiveArenas() int {
-	arenaMu.Lock()
-	defer arenaMu.Unlock()
-	return len(arenas)
 }

@@ -95,20 +95,18 @@ func (cfg RunConfig) NewLoop() *eventloop.Loop {
 }
 
 // NewNodeLoop builds one cluster node's event loop: same clock, scheduler,
-// recorder, and oracle as the trial's control loop, but never the arena's
-// resident loop (a cluster trial needs several live loops at once, and a
-// killed node's loop is abandoned mid-trial — both incompatible with
-// reset-in-place reuse) and never metrics-instrumented (node loops share a
-// trial; per-loop end-of-run gauges would clobber each other). Calling it
-// marks the trial's arena multi-loop, so every later Begin rebuilds the
-// world from scratch instead of resetting it.
+// recorder, and oracle as the trial's control loop, but never
+// metrics-instrumented (node loops share a trial; per-loop end-of-run gauges
+// would clobber each other). In an arena it hands out the trial's next
+// resident node loop, reset for this trial.
 func (cfg RunConfig) NewNodeLoop() *eventloop.Loop {
-	if cfg.Arena != nil {
-		cfg.Arena.noteMultiLoop()
-	}
+	a := cfg.Arena
 	cfg.Arena = nil
 	cfg.Metrics = nil
 	cfg.LagProbeEvery = 0
+	if a != nil {
+		return a.acquireNode(cfg)
+	}
 	return cfg.NewLoop()
 }
 
@@ -170,10 +168,10 @@ func AddTimerNoise(l *eventloop.Loop, every, until time.Duration) {
 // application's file-system operations, and the scheduler's random task
 // picking (Table 3, worker DoF) can hold an application operation back
 // behind them.
-func AddFSNoise(l *eventloop.Loop, seed int64, every, until time.Duration) {
+func (cfg RunConfig) AddFSNoise(l *eventloop.Loop, seed int64, every, until time.Duration) {
 	var fsa *simfs.Async
-	if a := arenaOf(l); a != nil {
-		fsa = a.acquireNoise(l, 500*time.Microsecond, seed)
+	if cfg.Arena != nil {
+		fsa = cfg.Arena.acquireNoise(l, 500*time.Microsecond, seed)
 	}
 	if fsa == nil {
 		noiseFS := simfs.New()

@@ -95,7 +95,7 @@ func clfRun(cfg RunConfig, fixed bool) Outcome {
 	l.SetTimeout(9*time.Millisecond, func() { lg.log("second entry") })
 
 	AddTimerNoise(l, 1500*time.Microsecond, 40*time.Millisecond)
-	AddFSNoise(l, cfg.Seed+7, 2*time.Millisecond, 25*time.Millisecond)
+	cfg.AddFSNoise(l, cfg.Seed+7, 2*time.Millisecond, 25*time.Millisecond)
 	if err := l.Run(); err != nil {
 		return Outcome{Note: "run: " + err.Error()}
 	}

@@ -117,7 +117,7 @@ func mkdRun(cfg RunConfig, fixed bool) Outcome {
 		func(bool) {})
 
 	AddTimerNoise(l, 1500*time.Microsecond, 60*time.Millisecond)
-	AddFSNoise(l, cfg.Seed+7, 2*time.Millisecond, 35*time.Millisecond)
+	cfg.AddFSNoise(l, cfg.Seed+7, 2*time.Millisecond, 35*time.Millisecond)
 	if err := l.Run(); err != nil {
 		return Outcome{Note: "run: " + err.Error()}
 	}

@@ -110,7 +110,8 @@ func neutralized(t *core.Trace, keep map[PerturbPoint]bool) *core.Trace {
 //
 // Replays run with core.NewReplay over the no-fuzz scheduler, so decisions
 // beyond the trace fall back to vanilla-equivalent behaviour instead of
-// fresh randomness. Each replay runs on a fresh virtual clock, as campaign
+// fresh randomness; the worker pool keeps the recorded arm's wait policy
+// (Trace.Wait). Each replay runs on a fresh virtual clock, as campaign
 // trials do. seed is the manifesting trial's seed (the substrates draw
 // their latencies from it). Because replay fidelity is best-effort,
 // each probe is a single execution and the result is a *small* manifesting

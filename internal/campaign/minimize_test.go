@@ -1,12 +1,14 @@
 package campaign
 
 import (
+	"path/filepath"
 	"reflect"
 	"testing"
 	"time"
 
 	"nodefz/internal/bugs"
 	"nodefz/internal/core"
+	"nodefz/internal/vclock"
 )
 
 // timerProbeRun builds a run function that calls FilterTimers(1) `points`
@@ -136,5 +138,53 @@ func TestNeutralizedMixedStreams(t *testing.T) {
 	}
 	if !trace.Timers[0].Perturbs() {
 		t.Error("neutralized mutated the original trace")
+	}
+}
+
+// TestFullTraceReplayReproducesPoolApps is the replay-fidelity gate for the
+// pool-heavy corpus apps: every manifesting trial of an MKD, AKA or RST
+// campaign (40 trials, one worker, seeds 1–5) must manifest again when its
+// full recorded trace is replayed the way MinimizeTrace replays it. These
+// apps race file-system work on the worker pool, so the replay must pick
+// tasks under the recorded arm's wait policy, not the no-fuzz base's.
+func TestFullTraceReplayReproducesPoolApps(t *testing.T) {
+	arms := DefaultArms()
+	for _, abbr := range []string{"MKD", "AKA", "RST"} {
+		app := bugs.ByAbbr(abbr)
+		if app == nil {
+			t.Fatalf("%s missing from corpus", abbr)
+		}
+		manifested := 0
+		for seed := int64(1); seed <= 5; seed++ {
+			path := filepath.Join(t.TempDir(), "journal.jsonl")
+			if _, err := Run(Config{App: app, Trials: 40, Workers: 1, BaseSeed: seed,
+				MinimizeTrials: -1, CheckpointPath: path}); err != nil {
+				t.Fatal(err)
+			}
+			st, err := LoadJournal(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 40; i++ {
+				e := st.Trials[i]
+				if !e.Manifested {
+					continue
+				}
+				manifested++
+				recording := core.NewRecording(core.NewScheduler(arms[e.Arm].Params, e.Seed))
+				if out := app.Run(bugs.RunConfig{Seed: e.Seed, Scheduler: recording, Clock: vclock.NewVirtual()}); !out.Manifested {
+					t.Fatalf("%s seed %d trial %d: did not manifest again in a fresh world", abbr, seed, i)
+				}
+				replay := core.NewReplay(recording.Trace(), core.NewNoFuzzScheduler())
+				if out := app.Run(bugs.RunConfig{Seed: e.Seed, Scheduler: replay, Clock: vclock.NewVirtual()}); !out.Manifested {
+					t.Errorf("%s seed %d trial %d (%s): full-trace replay did not manifest (%d misses)",
+						abbr, seed, i, e.ArmName, replay.Misses())
+				}
+			}
+		}
+		if manifested == 0 {
+			t.Fatalf("%s: no manifesting trial at seeds 1–5 — gate is vacuous", abbr)
+		}
+		t.Logf("%s: %d manifesting trials replayed", abbr, manifested)
 	}
 }

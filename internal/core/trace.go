@@ -29,6 +29,18 @@ type Trace struct {
 	// for single-node trials (the hook consumes no decisions when the
 	// delivery percentage is zero).
 	Net []NetDecision `json:"net,omitempty"`
+	// Wait is the worker-pool lookahead the recorded scheduler ran under.
+	// A replay must pick tasks from the same window, so ReplayScheduler
+	// serves it instead of its base's policy; nil (a trace recorded before
+	// the field existed) falls back to the base.
+	Wait *WaitPolicy `json:"wait,omitempty"`
+}
+
+// WaitPolicy is eventloop.Scheduler.WaitPolicy's result, kept in a trace.
+type WaitPolicy struct {
+	DoF           int           `json:"dof"`
+	MaxDelay      time.Duration `json:"max_delay"`
+	PollThreshold time.Duration `json:"poll_threshold"`
 }
 
 // TimerDecision records one FilterTimers call.
@@ -119,6 +131,10 @@ func (t *Trace) Clone() *Trace {
 			Deferred: append([]int(nil), d.Deferred...),
 		}
 	}
+	if t.Wait != nil {
+		w := *t.Wait
+		cp.Wait = &w
+	}
 	return cp
 }
 
@@ -202,7 +218,10 @@ func (r *RecordingScheduler) Inner() eventloop.Scheduler { return r.inner }
 func (r *RecordingScheduler) Trace() *Trace {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.trace.Clone()
+	t := r.trace.Clone()
+	dof, maxDelay, poll := r.inner.WaitPolicy()
+	t.Wait = &WaitPolicy{DoF: dof, MaxDelay: maxDelay, PollThreshold: poll}
+	return t
 }
 
 // Reset discards the recording in place, keeping every backing buffer for
@@ -381,8 +400,12 @@ func (r *ReplayScheduler) DemuxDone() bool { return r.base.DemuxDone() }
 // PoolSize implements eventloop.Scheduler.
 func (r *ReplayScheduler) PoolSize(requested int) int { return r.base.PoolSize(requested) }
 
-// WaitPolicy implements eventloop.Scheduler.
+// WaitPolicy implements eventloop.Scheduler: the recorded trial's policy,
+// or the base's when the trace does not carry one.
 func (r *ReplayScheduler) WaitPolicy() (int, time.Duration, time.Duration) {
+	if w := r.trace.Wait; w != nil {
+		return w.DoF, w.MaxDelay, w.PollThreshold
+	}
 	return r.base.WaitPolicy()
 }
 

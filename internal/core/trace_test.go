@@ -136,6 +136,48 @@ func TestTraceEncodeDecodeRoundTrip(t *testing.T) {
 	}
 }
 
+// TestTraceKeepsWaitPolicy: a recorded trace carries the recording
+// scheduler's worker-pool wait policy through an Encode/Decode round trip,
+// and a replay serves it instead of its base's. A trace without it (one
+// recorded before the field existed) replays with the base's policy.
+func TestTraceKeepsWaitPolicy(t *testing.T) {
+	std := StandardParams()
+	tr := NewRecording(NewScheduler(std, 5)).Trace()
+	want := WaitPolicy{DoF: std.WorkerDoF, MaxDelay: std.WorkerMaxDelay, PollThreshold: std.WorkerEpollThreshold}
+	if tr.Wait == nil || *tr.Wait != want {
+		t.Fatalf("recorded wait = %+v, want %+v", tr.Wait, want)
+	}
+	var buf bytes.Buffer
+	if err := tr.Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	back, err := DecodeTrace(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if back.Wait == nil || *back.Wait != want {
+		t.Fatalf("decoded wait = %+v, want %+v", back.Wait, want)
+	}
+	if c := back.Clone(); c.Wait == back.Wait || *c.Wait != want {
+		t.Fatalf("clone wait = %p %+v, original %p", c.Wait, c.Wait, back.Wait)
+	}
+	dof, maxDelay, poll := NewReplay(back, NewNoFuzzScheduler()).WaitPolicy()
+	if got := (WaitPolicy{DoF: dof, MaxDelay: maxDelay, PollThreshold: poll}); got != want {
+		t.Fatalf("replay wait = %+v, want the recorded %+v", got, want)
+	}
+
+	old, err := DecodeTrace(bytes.NewBufferString(`{"timers":[],"shuffle":[],"close":[],"pick":[]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := NewNoFuzzScheduler()
+	bd, bm, bp := base.WaitPolicy()
+	if dof, maxDelay, poll := NewReplay(old, base).WaitPolicy(); dof != bd || maxDelay != bm || poll != bp {
+		t.Fatalf("wait-less trace replays with (%d, %v, %v), want the base's (%d, %v, %v)",
+			dof, maxDelay, poll, bd, bm, bp)
+	}
+}
+
 // TestRecordReplayEndToEnd records a fuzzed loop run and replays its
 // decisions over the same program: the replay must complete with zero or
 // near-zero misses and produce the same amount of work.

@@ -1,8 +1,10 @@
 package fleet
 
 import (
+	"runtime"
 	"sort"
 	"testing"
+	"time"
 
 	"nodefz/internal/bugs"
 )
@@ -210,10 +212,10 @@ func TestFleetGreedyBeatsRoundRobin(t *testing.T) {
 	}
 }
 
-// TestFleetRunReleasesArenas: every child campaign's arenas leave the bugs
-// package's registry when the fleet finishes.
+// TestFleetRunReleasesArenas: when the fleet finishes, no child campaign's
+// world is left running — no network engine, pool worker or node loop.
 func TestFleetRunReleasesArenas(t *testing.T) {
-	before := bugs.LiveArenas()
+	before := runtime.NumGoroutine()
 	_, err := Run(Config{
 		Specs:        specsFor(t, "SIO", "KUE", "REP-replay"),
 		GlobalTrials: 30,
@@ -224,7 +226,11 @@ func TestFleetRunReleasesArenas(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if after := bugs.LiveArenas(); after != before {
-		t.Fatalf("arena registry holds %d worlds after fleet.Run, %d before", after, before)
+	after := runtime.NumGoroutine()
+	for deadline := time.Now().Add(2 * time.Second); after > before && time.Now().Before(deadline); after = runtime.NumGoroutine() {
+		time.Sleep(time.Millisecond)
+	}
+	if after > before {
+		t.Fatalf("%d goroutines running after fleet.Run, %d before", after, before)
 	}
 }

@@ -167,39 +167,52 @@ func TestArenaResetEquivalence(t *testing.T) {
 // path. A fresh SIO trial costs several hundred allocations; a reused arena
 // world must stay an order of magnitude below that — the regression pin
 // that keeps the reset path from quietly re-growing per-trial construction.
+// The REP cases pin the cluster world: control loop, node loops and network
+// all reset in place, so what is left is the replicas' own state and disks.
 func TestArenaTrialAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector shadow state allocates on the measured path")
 	}
-	app := bugs.ByAbbr("SIO")
-	w := newArenaWorld(ModeFZ, 1)
-	// The trial alone — reseed, reset, run — without the fingerprint
-	// snapshots (Trace/Reports/Coverage clone into fresh memory by design;
-	// the campaign pays that per-result, not per-reset).
-	trial := func(seed int64) {
-		w.reseed(ModeFZ, seed)
-		w.recording.Reset()
-		w.rec.Reset()
-		w.tracker.Reset()
-		app.Run(w.arena.Begin(bugs.RunConfig{
-			Seed:      seed,
-			Scheduler: w.recording,
-			Recorder:  w.rec,
-			Oracle:    w.tracker,
-		}))
-	}
-	// First run builds the world; the next two let freelists and scratch
-	// buffers grow to their high-water marks.
-	for s := int64(1); s <= 3; s++ {
-		trial(s)
-	}
-	seed := int64(4)
-	allocs := testing.AllocsPerRun(10, func() {
-		trial(seed)
-		seed++
-	})
-	const budget = 120 // steady state measures ~106; headroom for map rehash jitter
-	if allocs > budget {
-		t.Fatalf("arena trial allocates %.0f objects, budget %d", allocs, budget)
+	for _, tc := range []struct {
+		abbr   string
+		budget float64
+	}{
+		{"SIO", 120}, // steady state measures ~106; headroom for map rehash jitter
+		{"REP-elect", 1200},
+		{"REP-replay", 1350},
+	} {
+		t.Run(tc.abbr, func(t *testing.T) {
+			app := bugs.ByAbbr(tc.abbr)
+			w := newArenaWorld(ModeFZ, 1)
+			// The trial alone — reseed, reset, run — without the fingerprint
+			// snapshots (Trace/Reports/Coverage clone into fresh memory by
+			// design; the campaign pays that per-result, not per-reset).
+			trial := func(seed int64) {
+				w.reseed(ModeFZ, seed)
+				w.recording.Reset()
+				w.rec.Reset()
+				w.tracker.Reset()
+				app.Run(w.arena.Begin(bugs.RunConfig{
+					Seed:      seed,
+					Scheduler: w.recording,
+					Recorder:  w.rec,
+					Oracle:    w.tracker,
+				}))
+			}
+			// First run builds the world; the next two let freelists and
+			// scratch buffers grow to their high-water marks.
+			for s := int64(1); s <= 3; s++ {
+				trial(s)
+			}
+			seed := int64(4)
+			allocs := testing.AllocsPerRun(10, func() {
+				trial(seed)
+				seed++
+			})
+			t.Logf("%s: %.0f allocs/trial", tc.abbr, allocs)
+			if allocs > tc.budget {
+				t.Fatalf("arena trial allocates %.0f objects, budget %.0f", allocs, tc.budget)
+			}
+		})
 	}
 }

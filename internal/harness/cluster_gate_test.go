@@ -67,66 +67,85 @@ func TestClusterOracleGate(t *testing.T) {
 	}
 }
 
-// TestArenaClusterEquivalence is the gate for the arena's multi-loop
-// fallback: a cluster trial runs several loops on one clock and abandons
-// some mid-trial (node kill), so its world cannot be reset in place — the
-// arena must detect that (RunConfig.NewNodeLoop marks it) and rebuild from
-// scratch on every later Begin. Correctness bar, same as
-// TestArenaResetEquivalence: an arena-run cluster trial is bit-identical to
-// the same trial in a freshly built world, and a single-loop trial run
-// through the same (now sticky multi-loop) arena afterwards still is too.
+// TestArenaClusterEquivalence is the gate for arena-owned cluster worlds: a
+// cluster trial runs several node loops on the arena's clock and abandons
+// some mid-trial (a killed node's loop stops with work queued), and the
+// arena resets those node loops in place for the next trial instead of
+// building new ones. Correctness bar, same as TestArenaResetEquivalence:
+// every arena trial is bit-identical to the same trial in a freshly built
+// world.
+//
+// Each app/mode subtest runs one app's seeds through one arena and then an
+// SIO trial, which reuses the control loop the node loops shared a clock
+// with. Each shared/mode subtest runs one arena through REP-replay →
+// REP-elect → REP-replay → SIO: REP-replay restarts node 0, so the arena
+// grows to four node loops, and REP-elect then reuses only three of them.
 func TestArenaClusterEquivalence(t *testing.T) {
 	seeds := 4
 	if testing.Short() {
 		seeds = 2
 	}
-	single := bugs.ByAbbr("SIO")
-	if single == nil {
-		t.Fatal("SIO missing from registry")
+	byAbbr := func(abbr string) *bugs.App {
+		app := bugs.ByAbbr(abbr)
+		if app == nil {
+			t.Fatalf("%s missing from registry", abbr)
+		}
+		return app
 	}
+	single := byAbbr("SIO")
+	compare := func(t *testing.T, w *arenaWorld, a *bugs.App, mode Mode, seed int64) {
+		t.Helper()
+		fresh := runFreshOracleTrial(a, mode, seed)
+		if len(fresh.types) == 0 {
+			t.Fatal("trial recorded no callbacks — test is vacuous")
+		}
+		reused := w.run(a, mode, seed)
+		if !reflect.DeepEqual(fresh.trace, reused.trace) {
+			t.Fatalf("%s seed %d: decision trace diverged between fresh and arena worlds",
+				a.Abbr, seed)
+		}
+		if !reflect.DeepEqual(fresh.types, reused.types) {
+			t.Fatalf("%s seed %d: type schedule diverged:\nfresh: %v\narena: %v",
+				a.Abbr, seed, fresh.types, reused.types)
+		}
+		if !reflect.DeepEqual(fresh.stamps, reused.stamps) {
+			t.Fatalf("%s seed %d: virtual timestamps diverged", a.Abbr, seed)
+		}
+		if !reflect.DeepEqual(fresh.violations, reused.violations) {
+			t.Fatalf("%s seed %d: oracle reports diverged:\nfresh: %+v\narena: %+v",
+				a.Abbr, seed, fresh.violations, reused.violations)
+		}
+		if !reflect.DeepEqual(fresh.coverage, reused.coverage) {
+			t.Fatalf("%s seed %d: coverage digest diverged:\nfresh: %+v\narena: %+v",
+				a.Abbr, seed, fresh.coverage, reused.coverage)
+		}
+	}
+	modes := []Mode{ModeNFZ, ModeFZ}
 	for _, app := range repApps(t) {
 		app := app
-		for _, mode := range []Mode{ModeNFZ, ModeFZ} {
+		for _, mode := range modes {
 			mode := mode
 			t.Run(app.Abbr+"/"+mode.String(), func(t *testing.T) {
 				t.Parallel()
 				w := newArenaWorld(mode, 1)
-				compare := func(a *bugs.App, seed int64) {
-					t.Helper()
-					fresh := runFreshOracleTrial(a, mode, seed)
-					if len(fresh.types) == 0 {
-						t.Fatal("trial recorded no callbacks — test is vacuous")
-					}
-					reused := w.run(a, mode, seed)
-					if !reflect.DeepEqual(fresh.trace, reused.trace) {
-						t.Fatalf("%s seed %d: decision trace diverged between fresh and arena worlds",
-							a.Abbr, seed)
-					}
-					if !reflect.DeepEqual(fresh.types, reused.types) {
-						t.Fatalf("%s seed %d: type schedule diverged:\nfresh: %v\narena: %v",
-							a.Abbr, seed, fresh.types, reused.types)
-					}
-					if !reflect.DeepEqual(fresh.stamps, reused.stamps) {
-						t.Fatalf("%s seed %d: virtual timestamps diverged", a.Abbr, seed)
-					}
-					if !reflect.DeepEqual(fresh.violations, reused.violations) {
-						t.Fatalf("%s seed %d: oracle reports diverged:\nfresh: %+v\narena: %+v",
-							a.Abbr, seed, fresh.violations, reused.violations)
-					}
-					if !reflect.DeepEqual(fresh.coverage, reused.coverage) {
-						t.Fatalf("%s seed %d: coverage digest diverged:\nfresh: %+v\narena: %+v",
-							a.Abbr, seed, fresh.coverage, reused.coverage)
-					}
-				}
 				for s := 0; s < seeds; s++ {
-					compare(app, int64(s+1))
+					compare(t, w, app, mode, int64(s+1))
 				}
-				// A single-loop trial after cluster trials exercises the
-				// rebuild path one more way: the arena is sticky multi-loop
-				// now, so this trial must get a fresh world, not a resident
-				// loop a dead node once shared a clock with.
-				compare(single, 7)
+				compare(t, w, single, mode, 7)
 			})
 		}
+	}
+	legs := []*bugs.App{byAbbr("REP-replay"), byAbbr("REP-elect"), byAbbr("REP-replay"), single}
+	for _, mode := range modes {
+		mode := mode
+		t.Run("shared/"+mode.String(), func(t *testing.T) {
+			t.Parallel()
+			w := newArenaWorld(mode, 1)
+			for leg, app := range legs {
+				for s := 0; s < seeds; s++ {
+					compare(t, w, app, mode, int64(leg*seeds+s+1))
+				}
+			}
+		})
 	}
 }
